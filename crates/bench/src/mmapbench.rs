@@ -137,13 +137,13 @@ fn measure_flat<F: FnOnce() -> MiningResult>(
     param: f64,
     run: F,
 ) -> (Measurement, MiningResult) {
-    crate::alloc_track::reset_peak();
+    let region = crate::alloc_track::Region::begin();
     reset_peak_rss();
-    let live_at_start = crate::alloc_track::live_bytes();
     let start = Instant::now();
-    let result = run();
+    let result = region.measure(run);
     let seconds = start.elapsed().as_secs_f64();
-    let peak_alloc_bytes = crate::alloc_track::peak_bytes().saturating_sub(live_at_start);
+    let peak_alloc_bytes = region.peak_growth();
+    drop(region);
     (
         Measurement {
             miner: miner_name.to_string(),

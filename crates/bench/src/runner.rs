@@ -115,14 +115,14 @@ pub fn measure(
 ) -> (Measurement, MiningResult) {
     let guard =
         MineGuard::new(CancelToken::new(), ResourceBudget::unlimited().with_deadline(deadline()));
-    crate::alloc_track::reset_peak();
+    let region = crate::alloc_track::Region::begin();
     reset_peak_rss();
-    let live_at_start = crate::alloc_track::live_bytes();
     let start = Instant::now();
-    let run = miner.mine_guarded(db, min_support, &guard);
+    let run = region.measure(|| miner.mine_guarded(db, min_support, &guard));
     let seconds = start.elapsed().as_secs_f64();
-    let peak_alloc_bytes = crate::alloc_track::peak_bytes().saturating_sub(live_at_start);
+    let peak_alloc_bytes = region.peak_growth();
     let peak_rss_bytes = peak_rss_bytes();
+    drop(region);
     assert!(
         run.outcome.is_complete(),
         "{} aborted ({:?}) after {seconds:.1}s — raise the deadline or shrink the workload",

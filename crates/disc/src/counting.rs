@@ -231,16 +231,26 @@ impl CountingArray {
     /// Boolean masks `(itemset_frequent, sequence_frequent)` per item id, for
     /// the reduction and reassignment machinery.
     pub fn frequency_masks(&self, delta: u64) -> (Vec<bool>, Vec<bool>) {
-        let n = self.seq_counts.len();
-        let mut i_mask = vec![false; n];
-        let mut s_mask = vec![false; n];
-        for i in 0..n {
-            if self.touch_epoch[i] == self.epoch {
-                i_mask[i] = self.item_counts[i] >= delta;
-                s_mask[i] = self.seq_counts[i] >= delta;
-            }
-        }
+        let (mut i_mask, mut s_mask) = (Vec::new(), Vec::new());
+        self.frequency_masks_into(&mut i_mask, &mut s_mask, delta);
         (i_mask, s_mask)
+    }
+
+    /// [`CountingArray::frequency_masks`] into caller-owned buffers, resized
+    /// to `n_items` and cleared first — partition walks reuse one pair for
+    /// every partition instead of allocating two `n_items` vectors each.
+    /// Walks only the items the current epoch marked.
+    pub fn frequency_masks_into(&self, i_mask: &mut Vec<bool>, s_mask: &mut Vec<bool>, delta: u64) {
+        let n = self.seq_counts.len();
+        for mask in [&mut *i_mask, &mut *s_mask] {
+            mask.clear();
+            mask.resize(n, false);
+        }
+        for &id in &self.touched {
+            let i = id as usize;
+            i_mask[i] = self.item_counts[i] >= delta;
+            s_mask[i] = self.seq_counts[i] >= delta;
+        }
     }
 }
 

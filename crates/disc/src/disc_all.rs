@@ -3,13 +3,14 @@
 
 use crate::counting::{count_extensions, count_extensions_into, CountingArray};
 use crate::discovery::discover_frequent_k_into;
-use crate::partition::{group_by_min_item_guarded, reduce_into, RowExtensions};
+use crate::partition::{
+    ext_rank, group_by_min_item_guarded, reduce_into, BucketQueue, Itineraries, RowExtensions,
+};
 use crate::resume::CheckpointSink;
 use disc_core::{
     run_guarded, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
     MineGuard, MiningResult, SeqView, Sequence, SequenceDatabase, SequentialMiner,
 };
-use std::collections::BTreeMap;
 
 /// Tuning knobs for [`DiscAll`] (and the DISC stages of the dynamic
 /// variant).
@@ -35,7 +36,7 @@ impl Default for DiscConfig {
 ///    minimum item into **first-level partitions**;
 /// 2. each first-level partition (ascending) with a frequent `λ`:
 ///    * one counting-array scan finds the frequent 2-sequences `<(λ)(x)>` /
-///      `<(λ x)>`,
+///      `<(λ x)>`; a partition with none is finished here,
 ///    * customers are **reduced** (non-frequent 1-/2-sequences removed) and
 ///      grouped by their 2-minimum subsequence into **second-level
 ///      partitions**;
@@ -156,12 +157,10 @@ impl DiscAll {
         };
         let n_items = max_item.id() as usize + 1;
 
-        // One counting array, reduction arena and extension table for the
-        // whole run: partitions reset them instead of re-allocating (the
-        // arena and table stabilize at the largest partition's footprint).
-        let mut carray = CountingArray::new(n_items);
-        let mut arena = FlatArena::new();
-        let mut exts = RowExtensions::new();
+        // One set of partition buffers for the whole run: partitions reset
+        // them instead of re-allocating (they stabilize at the largest
+        // partition's footprint).
+        let mut scratch = Scratch::new(n_items);
 
         // Step 1: frequent 1-sequences + first-level partitions.
         let freq1 = frequent_one_sequences(flat, delta, n_items, guard, result)?;
@@ -169,44 +168,35 @@ impl DiscAll {
             s.level_one(result);
         }
 
-        // Step 2: walk first-level partitions in ascending key order. The
+        // Step 2: sweep first-level partitions in ascending key order. The
         // reassignment chain of a row visits, ascending, exactly the
-        // distinct frequent items it contains — precompute those lists once
-        // so every chain turn is a binary search instead of a row walk.
-        let row_items = frequent_items_per_row(flat, &freq1, guard)?;
-        let mut first_level = group_by_min_item_guarded(flat, guard)?;
-        while let Some((&lambda, _)) = first_level.iter().next() {
-            guard.checkpoint()?;
-            let members = first_level.remove(&lambda).expect("key just observed");
-            let resumed = sink.as_deref().is_some_and(|s| s.is_done(lambda));
-            if freq1[lambda.id() as usize] && !resumed {
-                self.process_first_level(
-                    flat,
-                    lambda,
-                    &members,
-                    delta,
-                    &freq1,
-                    guard,
-                    result,
-                    &mut carray,
-                    &mut arena,
-                    &mut exts,
-                )?;
-                if let Some(s) = sink.as_deref_mut() {
-                    s.partition_done(lambda, result);
+        // distinct frequent items it contains — precompute those itineraries
+        // once so every chain turn is a binary search instead of a row walk.
+        let itineraries = Itineraries::build(flat, &freq1, guard)?;
+        group_by_min_item_guarded(flat, guard)?.sweep(
+            guard,
+            |key, members| {
+                let lambda = Item(key as u32);
+                if freq1[key] && !sink.as_deref().is_some_and(|s| s.is_done(lambda)) {
+                    self.process_first_level(
+                        flat,
+                        lambda,
+                        members,
+                        delta,
+                        &freq1,
+                        guard,
+                        result,
+                        &mut scratch,
+                    )?;
+                    if let Some(s) = sink.as_deref_mut() {
+                        s.partition_done(lambda, result);
+                    }
                 }
-            }
+                Ok(())
+            },
             // Step 2.2: reassignment chains.
-            for idx in members {
-                guard.checkpoint()?;
-                let items = &row_items[idx];
-                let from = items.partition_point(|&x| x <= lambda);
-                if let Some(&next) = items.get(from) {
-                    first_level.entry(next).or_default().push(idx);
-                }
-            }
-        }
-        Ok(())
+            |row, key| itineraries.next_after(row, Item(key as u32)).map(|x| x.id() as usize),
+        )
     }
 
     /// Steps 2.1.1–2.1.3 for one `<(λ)>`-partition.
@@ -227,43 +217,49 @@ impl DiscAll {
         freq1: &[bool],
         guard: &MineGuard,
         result: &mut MiningResult,
-        carray: &mut CountingArray,
-        arena: &mut FlatArena,
-        exts: &mut RowExtensions,
+        scratch: &mut Scratch,
     ) -> Result<(), AbortReason> {
+        let Scratch { carray, arena, exts, i_mask, s_mask, freq2, second_level } = scratch;
         let prefix1 = Sequence::single(lambda);
 
         // 2.1.1: frequent 2-sequences by counting array (over the originals —
         // every supporter of a 2-sequence starting with λ is a member now).
         guard.charge(members.len() as u64)?;
         count_extensions_into(carray, &prefix1, members.iter().map(|&i| flat.row(i)));
-        let (i_mask, s_mask) = carray.frequency_masks(delta);
-        for (elem, support) in carray.frequent_extensions(delta) {
+        carray.frequent_extensions_into(delta, freq2);
+        if freq2.is_empty() {
+            // No frequent 2-sequence: no second-level partition can reach δ
+            // members, so reduction and keying would be thrown away.
+            return Ok(());
+        }
+        for &(elem, support) in freq2.iter() {
             guard.note_pattern()?;
             result.insert(prefix1.extended(elem), support);
         }
+        carray.frequency_masks_into(i_mask, s_mask, delta);
 
         // 2.1.2: reduce into a partition-local flat arena and group by
-        // 2-minimum subsequence. Partition slots are arena row indices;
-        // reduced members never exist as nested sequences. Each row's
-        // extension set is computed once here; the keying below and every
-        // 2.1.3.3 reassignment turn are lookups into it.
+        // 2-minimum subsequence, keyed by its rank among the frequent
+        // 2-extensions. Partition slots are arena row indices; reduced
+        // members never exist as nested sequences. Each row's extension set
+        // is computed once here; the keying below and every 2.1.3.3
+        // reassignment turn are lookups into it.
         arena.clear();
         exts.clear();
-        let mut second_level: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
+        second_level.reset(freq2.len());
         for &idx in members {
             guard.checkpoint()?;
             let seq = flat.row(idx);
             let min_point =
                 seq.first_txn_containing(lambda).expect("partition members contain their key item");
-            let Some(row) = reduce_into(arena, seq, lambda, min_point, freq1, &i_mask, &s_mask)
+            let Some(row) = reduce_into(arena, seq, lambda, min_point, freq1, i_mask, s_mask)
             else {
                 continue;
             };
             let ext_row = exts.push_row(arena.row(row), &prefix1);
             debug_assert_eq!(ext_row, row);
-            if let Some(elem) = exts.min_masked(row, &i_mask, &s_mask, None) {
-                second_level.entry(elem).or_default().push(row);
+            if let Some(elem) = exts.min_masked(row, i_mask, s_mask, None) {
+                second_level.push(ext_rank(freq2, elem), row);
             } else {
                 // Unextendable: the row just appended is dead.
                 arena.pop_row();
@@ -271,24 +267,23 @@ impl DiscAll {
             }
         }
 
-        // 2.1.3: walk second-level partitions in ascending key order.
-        while let Some((&elem, _)) = second_level.iter().next() {
-            guard.checkpoint()?;
-            let slots = second_level.remove(&elem).expect("key just observed");
-            if slots.len() as u64 >= delta {
-                let prefix2 = prefix1.extended(elem);
-                let partition: Vec<_> = slots.iter().map(|&s| arena.row(s)).collect();
-                self.process_second_level(&prefix2, &partition, delta, guard, result, carray)?;
-            }
-            // 2.1.3.3: reassign by the next 2-minimum subsequence.
-            for slot in slots {
-                guard.checkpoint()?;
-                if let Some(next) = exts.min_masked(slot, &i_mask, &s_mask, Some(elem)) {
-                    second_level.entry(next).or_default().push(slot);
+        // 2.1.3: sweep second-level partitions in ascending key order.
+        second_level.sweep(
+            guard,
+            |rank, slots| {
+                if slots.len() as u64 >= delta {
+                    let prefix2 = prefix1.extended(freq2[rank].0);
+                    let partition: Vec<_> = slots.iter().map(|&s| arena.row(s)).collect();
+                    self.process_second_level(&prefix2, &partition, delta, guard, result, carray)?;
                 }
-            }
-        }
-        Ok(())
+                Ok(())
+            },
+            // 2.1.3.3: reassign by the next 2-minimum subsequence.
+            |slot, rank| {
+                let next = exts.min_masked(slot, i_mask, s_mask, Some(freq2[rank].0))?;
+                Some(ext_rank(freq2, next))
+            },
+        )
     }
 
     /// Steps 2.1.3.1–2.1.3.2 for one second-level partition.
@@ -317,27 +312,34 @@ impl DiscAll {
     }
 }
 
-/// Per database row, the ascending distinct *frequent* items it contains —
-/// the full itinerary of the row's first-level reassignment chain, computed
-/// in one pass per row.
-fn frequent_items_per_row(
-    flat: &FlatDb,
-    freq1: &[bool],
-    guard: &MineGuard,
-) -> Result<Vec<Vec<Item>>, AbortReason> {
-    let mut out = Vec::with_capacity(flat.len());
-    let mut items: Vec<Item> = Vec::new();
-    for row in flat.rows() {
-        guard.checkpoint()?;
-        items.clear();
-        for t in 0..row.n_transactions() {
-            items.extend(row.itemset_items(t).iter().copied().filter(|x| freq1[x.id() as usize]));
+/// The buffers one `<(λ)>`-partition needs — counting array, reduction
+/// arena, extension table, frequency masks, frequent 2-extensions and the
+/// second-level queue — owned by the caller so a sequential walk reuses one
+/// set for every partition.
+#[derive(Debug)]
+pub(crate) struct Scratch {
+    carray: CountingArray,
+    arena: FlatArena,
+    exts: RowExtensions,
+    i_mask: Vec<bool>,
+    s_mask: Vec<bool>,
+    freq2: Vec<(ExtElem, u64)>,
+    second_level: BucketQueue,
+}
+
+impl Scratch {
+    /// Empty buffers for a database over items `0..n_items`.
+    pub(crate) fn new(n_items: usize) -> Scratch {
+        Scratch {
+            carray: CountingArray::new(n_items),
+            arena: FlatArena::new(),
+            exts: RowExtensions::new(),
+            i_mask: Vec::new(),
+            s_mask: Vec::new(),
+            freq2: Vec::new(),
+            second_level: BucketQueue::default(),
         }
-        items.sort_unstable();
-        items.dedup();
-        out.push(items.clone());
     }
-    Ok(out)
 }
 
 /// Step 1 of Figure 2, shared by the sequential and parallel miners: one

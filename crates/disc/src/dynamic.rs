@@ -10,15 +10,16 @@
 //! partitioning at level 2; the dynamic variant measures the NRR of each
 //! partition from its counting-array scan and decides per partition.
 
-use crate::counting::{count_extensions, CountingArray};
+use crate::counting::{count_extensions, count_extensions_into, CountingArray};
 use crate::disc_all::run_disc_levels;
-use crate::partition::{group_by_min_item_guarded, min_ext_elem, next_frequent_item, reduce_into};
+use crate::partition::{
+    ext_rank, group_by_min_item_guarded, min_ext_elem, reduce_into, BucketQueue, Itineraries,
+};
 use crate::resume::CheckpointSink;
 use disc_core::{
     run_guarded, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
     MineGuard, MiningResult, SeqView, Sequence, SequenceDatabase, SequentialMiner,
 };
-use std::collections::BTreeMap;
 
 /// When does a partition get split into next-level partitions instead of
 /// being handed to the DISC strategy?
@@ -76,10 +77,14 @@ impl DynamicDiscAll {
 /// The NRR of a partition, from its counting-array scan: the mean ratio of
 /// child-partition size (= the support of each frequent one-item extension)
 /// to the partition's own size.
-fn nrr(ext_supports: &[u64], partition_size: usize) -> f64 {
-    debug_assert!(!ext_supports.is_empty() && partition_size > 0);
-    let sum: f64 = ext_supports.iter().map(|&s| s as f64 / partition_size as f64).sum();
-    sum / ext_supports.len() as f64
+fn nrr(ext_supports: impl IntoIterator<Item = u64>, partition_size: usize) -> f64 {
+    let (mut sum, mut n) = (0.0, 0usize);
+    for s in ext_supports {
+        sum += s as f64 / partition_size as f64;
+        n += 1;
+    }
+    debug_assert!(n > 0 && partition_size > 0);
+    sum / n as f64
 }
 
 impl SequentialMiner for DynamicDiscAll {
@@ -181,7 +186,16 @@ impl DynamicDiscAll {
             s.level_one(result);
         }
 
-        if !self.policy.split(0, nrr(&supports1, flat.len())) {
+        let mut walk = Walk {
+            miner: self,
+            delta,
+            guard,
+            result,
+            carray: root,
+            arena: FlatArena::new(),
+            levels: Vec::new(),
+        };
+        if !self.policy.split(0, nrr(supports1, flat.len())) {
             // Degenerate but well-defined: DISC over the whole database from
             // k = 2, seeded by the 1-sorted list.
             let members: Vec<_> = flat.rows().collect();
@@ -189,126 +203,109 @@ impl DynamicDiscAll {
                 .filter(|&id| freq1[id as usize])
                 .map(|id| Sequence::single(Item(id)))
                 .collect();
-            let mut carray = CountingArray::new(n_items);
-            return run_disc_levels(
-                &members,
-                list,
-                delta,
-                self.bi_level,
-                guard,
-                result,
-                &mut carray,
-            );
+            return walk.disc(&members, list);
         }
 
-        // First-level partitions with reassignment chains.
-        let mut first_level = group_by_min_item_guarded(flat, guard)?;
-        while let Some((&lambda, _)) = first_level.iter().next() {
-            guard.checkpoint()?;
-            let members = first_level.remove(&lambda).expect("key just observed");
-            let resumed = sink.as_deref().is_some_and(|s| s.is_done(lambda));
-            if freq1[lambda.id() as usize] && !resumed {
-                self.process_first_level(
-                    flat, lambda, &members, delta, n_items, &freq1, guard, result,
-                )?;
-                if let Some(s) = sink.as_deref_mut() {
-                    s.partition_done(lambda, result);
+        // First-level partitions, swept with their reassignment chains.
+        let itineraries = Itineraries::build(flat, &freq1, guard)?;
+        group_by_min_item_guarded(flat, guard)?.sweep(
+            guard,
+            |key, members| {
+                let lambda = Item(key as u32);
+                if freq1[key] && !sink.as_deref().is_some_and(|s| s.is_done(lambda)) {
+                    walk.with_level(|walk, level| {
+                        walk.first_level(flat, lambda, members, &freq1, level)
+                    })?;
+                    if let Some(s) = sink.as_deref_mut() {
+                        s.partition_done(lambda, walk.result);
+                    }
                 }
-            }
-            for idx in members {
-                guard.checkpoint()?;
-                if let Some(next) = next_frequent_item(flat.row(idx), lambda, &freq1) {
-                    first_level.entry(next).or_default().push(idx);
-                }
-            }
-        }
-        Ok(())
+                Ok(())
+            },
+            |row, key| itineraries.next_after(row, Item(key as u32)).map(|x| x.id() as usize),
+        )
+    }
+}
+
+/// The buffers of one partition level — its frequent extensions, frequency
+/// masks and next-level queue — recycled through [`Walk::with_level`] as
+/// the recursion descends and returns.
+#[derive(Debug, Default)]
+struct Level {
+    exts: Vec<(ExtElem, u64)>,
+    i_mask: Vec<bool>,
+    s_mask: Vec<bool>,
+    queue: BucketQueue,
+}
+
+/// One run's partition walk: the miner's settings, δ, the guard and the
+/// result, plus the buffers reused across partitions — one counting array
+/// (each partition copies what it needs out of it before recursing), the
+/// first level's reduction arena, and a free list of [`Level`]s.
+struct Walk<'r> {
+    miner: &'r DynamicDiscAll,
+    delta: u64,
+    guard: &'r MineGuard,
+    result: &'r mut MiningResult,
+    carray: CountingArray,
+    arena: FlatArena,
+    levels: Vec<Level>,
+}
+
+impl Walk<'_> {
+    /// Runs `f` with one level's buffers taken off the free list.
+    fn with_level<T>(&mut self, f: impl FnOnce(&mut Self, &mut Level) -> T) -> T {
+        let mut level = self.levels.pop().unwrap_or_default();
+        let out = f(self, &mut level);
+        self.levels.push(level);
+        out
+    }
+
+    /// DISC over `members` from the length after `freq_prev`'s.
+    fn disc<'a, S: SeqView<'a>>(
+        &mut self,
+        members: &[S],
+        freq_prev: Vec<Sequence>,
+    ) -> Result<(), AbortReason> {
+        let (delta, bi_level) = (self.delta, self.miner.bi_level);
+        run_disc_levels(
+            members,
+            freq_prev,
+            delta,
+            bi_level,
+            self.guard,
+            self.result,
+            &mut self.carray,
+        )
     }
 
     /// One `<(λ)>`-partition: count 2-extensions, decide by NRR, then either
     /// reduce + split into second-level partitions or run DISC from k = 3.
-    #[allow(clippy::too_many_arguments)]
-    fn process_first_level(
-        &self,
+    fn first_level(
+        &mut self,
         flat: &FlatDb,
         lambda: Item,
         members: &[usize],
-        delta: u64,
-        n_items: usize,
         freq1: &[bool],
-        guard: &MineGuard,
-        result: &mut MiningResult,
+        level: &mut Level,
     ) -> Result<(), AbortReason> {
         let prefix1 = Sequence::single(lambda);
-        guard.charge(members.len() as u64)?;
-        let mut array = count_extensions(&prefix1, members.iter().map(|&i| flat.row(i)), n_items);
-        let (i_mask, s_mask) = array.frequency_masks(delta);
-        let exts = array.frequent_extensions(delta);
-        if exts.is_empty() {
+        let views: Vec<_> = members.iter().map(|&i| flat.row(i)).collect();
+        if !self.count_or_finish(&prefix1, &views, level)? {
             return Ok(());
         }
-        let mut freq2 = Vec::with_capacity(exts.len());
-        let mut supports = Vec::with_capacity(exts.len());
-        for &(elem, support) in &exts {
-            let pat = prefix1.extended(elem);
-            guard.note_pattern()?;
-            result.insert(pat.clone(), support);
-            freq2.push(pat);
-            supports.push(support);
-        }
-
-        if !self.policy.split(1, nrr(&supports, members.len())) {
-            // DISC from k = 3 over the (unreduced) partition members.
-            let views: Vec<_> = members.iter().map(|&i| flat.row(i)).collect();
-            let mut carray = CountingArray::new(n_items);
-            return run_disc_levels(
-                &views,
-                freq2,
-                delta,
-                self.bi_level,
-                guard,
-                result,
-                &mut carray,
-            );
-        }
-
-        // Reduce into a partition-local flat arena, split by 2-minimum
-        // subsequence, recurse. Slots are arena row indices.
-        let mut arena = FlatArena::new();
-        let mut second: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
-        for &idx in members {
-            guard.checkpoint()?;
-            let seq = flat.row(idx);
+        // Reduce into the flat arena, then split the reduced rows.
+        let mut arena = std::mem::take(&mut self.arena);
+        arena.clear();
+        for seq in views {
+            self.guard.checkpoint()?;
             let min_point =
                 seq.first_txn_containing(lambda).expect("partition members contain their key item");
-            let Some(row) =
-                reduce_into(&mut arena, seq, lambda, min_point, freq1, &i_mask, &s_mask)
-            else {
-                continue;
-            };
-            if let Some(elem) = min_ext_elem(arena.row(row), &prefix1, &i_mask, &s_mask, None) {
-                second.entry(elem).or_default().push(row);
-            } else {
-                arena.pop_row(); // unextendable: the row just appended is dead
-            }
+            reduce_into(&mut arena, seq, lambda, min_point, freq1, &level.i_mask, &level.s_mask);
         }
-        while let Some((&elem, _)) = second.iter().next() {
-            guard.checkpoint()?;
-            let slots = second.remove(&elem).expect("key just observed");
-            if slots.len() as u64 >= delta {
-                let prefix2 = prefix1.extended(elem);
-                let partition: Vec<_> = slots.iter().map(|&s| arena.row(s)).collect();
-                self.process_deeper(&prefix2, &partition, delta, n_items, guard, result)?;
-            }
-            for slot in slots {
-                guard.checkpoint()?;
-                if let Some(next) =
-                    min_ext_elem(arena.row(slot), &prefix1, &i_mask, &s_mask, Some(elem))
-                {
-                    second.entry(next).or_default().push(slot);
-                }
-            }
-        }
+        let reduced: Vec<_> = arena.rows().collect();
+        self.split(&prefix1, &reduced, level)?;
+        self.arena = arena;
         Ok(())
     }
 
@@ -316,70 +313,84 @@ impl DynamicDiscAll {
     /// by policy, then recurse or run DISC from k = j + 2. Partitions are
     /// slices of `Copy` views, so recursion copies 32-byte handles, not
     /// sequences.
-    fn process_deeper<'a, S: SeqView<'a>>(
-        &self,
+    fn deeper<'a, S: SeqView<'a>>(
+        &mut self,
         prefix: &Sequence,
         partition: &[S],
-        delta: u64,
-        n_items: usize,
-        guard: &MineGuard,
-        result: &mut MiningResult,
+        level: &mut Level,
     ) -> Result<(), AbortReason> {
-        guard.charge(partition.len() as u64)?;
-        let mut array = count_extensions(prefix, partition.iter().copied(), n_items);
-        let (i_mask, s_mask) = array.frequency_masks(delta);
-        let exts = array.frequent_extensions(delta);
-        if exts.is_empty() {
-            return Ok(());
-        }
-        let mut freq_next = Vec::with_capacity(exts.len());
-        let mut supports = Vec::with_capacity(exts.len());
-        for &(elem, support) in &exts {
-            let pat = prefix.extended(elem);
-            guard.note_pattern()?;
-            result.insert(pat.clone(), support);
-            freq_next.push(pat);
-            supports.push(support);
-        }
-
-        if !self.policy.split(prefix.length(), nrr(&supports, partition.len())) {
-            let mut carray = CountingArray::new(n_items);
-            return run_disc_levels(
-                partition,
-                freq_next,
-                delta,
-                self.bi_level,
-                guard,
-                result,
-                &mut carray,
-            );
-        }
-
-        let mut children: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
-        for (slot, &seq) in partition.iter().enumerate() {
-            guard.checkpoint()?;
-            if let Some(elem) = min_ext_elem(seq, prefix, &i_mask, &s_mask, None) {
-                children.entry(elem).or_default().push(slot);
-            }
-        }
-        while let Some((&elem, _)) = children.iter().next() {
-            guard.checkpoint()?;
-            let slots = children.remove(&elem).expect("key just observed");
-            if slots.len() as u64 >= delta {
-                let child_prefix = prefix.extended(elem);
-                let child: Vec<S> = slots.iter().map(|&s| partition[s]).collect();
-                self.process_deeper(&child_prefix, &child, delta, n_items, guard, result)?;
-            }
-            for slot in slots {
-                guard.checkpoint()?;
-                if let Some(next) =
-                    min_ext_elem(partition[slot], prefix, &i_mask, &s_mask, Some(elem))
-                {
-                    children.entry(next).or_default().push(slot);
-                }
-            }
+        if self.count_or_finish(prefix, partition, level)? {
+            self.split(prefix, partition, level)?;
         }
         Ok(())
+    }
+
+    /// Counts the one-item extensions of `prefix` over `partition` and
+    /// records the frequent ones. Returns whether the partition should be
+    /// split, with `level`'s frequency masks filled; otherwise the partition
+    /// is finished — it has no frequent extension, or DISC has mined it from
+    /// k = |π| + 2.
+    fn count_or_finish<'a, S: SeqView<'a>>(
+        &mut self,
+        prefix: &Sequence,
+        partition: &[S],
+        level: &mut Level,
+    ) -> Result<bool, AbortReason> {
+        self.guard.charge(partition.len() as u64)?;
+        count_extensions_into(&mut self.carray, prefix, partition.iter().copied());
+        self.carray.frequent_extensions_into(self.delta, &mut level.exts);
+        if level.exts.is_empty() {
+            return Ok(false);
+        }
+        for &(elem, support) in &level.exts {
+            self.guard.note_pattern()?;
+            self.result.insert(prefix.extended(elem), support);
+        }
+        let nrr = nrr(level.exts.iter().map(|e| e.1), partition.len());
+        if self.miner.policy.split(prefix.length(), nrr) {
+            self.carray.frequency_masks_into(&mut level.i_mask, &mut level.s_mask, self.delta);
+            return Ok(true);
+        }
+        let freq_next = level.exts.iter().map(|&(elem, _)| prefix.extended(elem)).collect();
+        self.disc(partition, freq_next)?;
+        Ok(false)
+    }
+
+    /// Splits `partition` into next-level partitions keyed by each member's
+    /// minimum frequent extension of `prefix` (bucketed by its rank among
+    /// the frequent extensions) and sweeps them, recursing into each one
+    /// with at least δ members.
+    fn split<'a, S: SeqView<'a>>(
+        &mut self,
+        prefix: &Sequence,
+        partition: &[S],
+        level: &mut Level,
+    ) -> Result<(), AbortReason> {
+        let Level { exts, i_mask, s_mask, queue } = level;
+        queue.reset(exts.len());
+        for (slot, &seq) in partition.iter().enumerate() {
+            self.guard.checkpoint()?;
+            if let Some(elem) = min_ext_elem(seq, prefix, i_mask, s_mask, None) {
+                queue.push(ext_rank(exts, elem), slot);
+            }
+        }
+        let guard = self.guard;
+        queue.sweep(
+            guard,
+            |rank, slots| {
+                if slots.len() as u64 >= self.delta {
+                    let child_prefix = prefix.extended(exts[rank].0);
+                    let child: Vec<S> = slots.iter().map(|&s| partition[s]).collect();
+                    self.with_level(|walk, level| walk.deeper(&child_prefix, &child, level))?;
+                }
+                Ok(())
+            },
+            |slot, rank| {
+                let bound = Some(exts[rank].0);
+                let next = min_ext_elem(partition[slot], prefix, i_mask, s_mask, bound)?;
+                Some(ext_rank(exts, next))
+            },
+        )
     }
 }
 
@@ -457,8 +468,8 @@ mod tests {
 
     #[test]
     fn nrr_formula() {
-        assert!((nrr(&[5, 3, 4], 6) - (5.0 / 6.0 + 3.0 / 6.0 + 4.0 / 6.0) / 3.0).abs() < 1e-12);
-        assert!((nrr(&[10], 10) - 1.0).abs() < 1e-12);
+        assert!((nrr([5, 3, 4], 6) - (5.0 / 6.0 + 3.0 / 6.0 + 4.0 / 6.0) / 3.0).abs() < 1e-12);
+        assert!((nrr([10], 10) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! union; [`MiningResult::insert`] still cross-checks supports, so a shard
 //! disagreeing on a support is caught loudly rather than silently resolved.
 
-use crate::disc_all::{frequent_one_sequences, DiscAll};
+use crate::disc_all::{frequent_one_sequences, DiscAll, Scratch};
 use crate::resume::CheckpointSink;
 use crate::DiscConfig;
 use disc_core::{
@@ -193,9 +193,7 @@ impl ParallelDiscAll {
                 &freq1,
                 worker,
                 shard_result,
-                &mut crate::counting::CountingArray::new(n_items),
-                &mut disc_core::FlatArena::new(),
-                &mut crate::partition::RowExtensions::new(),
+                &mut Scratch::new(n_items),
             )
         };
         #[cfg(feature = "fault-injection")]

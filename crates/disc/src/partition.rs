@@ -9,65 +9,225 @@
 //! frequent keys it contains — so when a partition's turn comes, *every*
 //! supporter of its key is present, which is why counting arrays and DISC
 //! buckets inside a partition produce exact global supports.
+//!
+//! Every walk — first level, second level, and the dynamic miner's deeper
+//! levels — is one [`BucketQueue`]: reassignment only ever moves a member to
+//! a strictly larger key, so a single forward sweep over dense buckets
+//! visits every partition once, in the paper's order.
 
-use crate::counting::CountingArray;
 use crate::kms::{all_extensions, decode_elem, encode_elem, min_extension_where};
 use disc_core::{
     AbortReason, ExtElem, ExtMode, FlatArena, FlatDb, Item, MineGuard, SeqView, Sequence,
 };
 use std::collections::BTreeMap;
 
-/// Groups database rows by their minimum 1-sequence (Step 1(b) of Figure 2).
-/// Keys include non-frequent items; mining skips those partitions but the
-/// reassignment chains still flow through them.
+/// No slot: the end of a bucket's member list.
+const NIL: u32 = u32::MAX;
+
+/// A monotone bucket queue over the dense keys `0..n_keys`: the ascending
+/// partition walk of Figure 2.
+///
+/// Each bucket is a FIFO list of slots threaded through one shared `link`
+/// column, so the queue holds every slot at most once and never allocates
+/// per bucket. [`BucketQueue::sweep`] hands out the non-empty buckets in
+/// ascending key order, and a member leaving a visited bucket may only move
+/// to a larger key. That is exactly the reassignment-chain contract, so one
+/// forward pass visits every partition once, in the paper's order, with the
+/// same members in the same order an ordered map of lists would hold.
+#[derive(Debug, Default)]
+pub struct BucketQueue {
+    /// Per key, the first slot of its bucket, or [`NIL`].
+    head: Vec<u32>,
+    /// Per key, the last slot of its bucket (valid while `head` is set).
+    tail: Vec<u32>,
+    /// Per slot, the next slot in its bucket, or [`NIL`].
+    link: Vec<u32>,
+    /// The smallest key not yet swept.
+    next: usize,
+    /// The members of the bucket being visited.
+    members: Vec<usize>,
+}
+
+impl BucketQueue {
+    /// An empty queue over keys `0..n_keys`.
+    pub fn new(n_keys: usize) -> BucketQueue {
+        let mut queue = BucketQueue::default();
+        queue.reset(n_keys);
+        queue
+    }
+
+    /// Empties the queue and re-keys it to `0..n_keys`, keeping its
+    /// allocations for reuse.
+    pub fn reset(&mut self, n_keys: usize) {
+        self.head.clear();
+        self.head.resize(n_keys, NIL);
+        self.tail.clear();
+        self.tail.resize(n_keys, NIL);
+        self.link.clear();
+        self.next = 0;
+    }
+
+    /// Appends `slot` to the bucket of `key`. The key must lie past every
+    /// bucket already popped, and the slot must not be queued already.
+    pub fn push(&mut self, key: usize, slot: usize) {
+        debug_assert!(key >= self.next, "reassignment keys must strictly increase");
+        let s = u32::try_from(slot).expect("slot index fits in u32");
+        if slot >= self.link.len() {
+            self.link.resize(slot + 1, NIL);
+        }
+        self.link[slot] = NIL;
+        match self.head[key] {
+            NIL => self.head[key] = s,
+            _ => self.link[self.tail[key] as usize] = s,
+        }
+        self.tail[key] = s;
+    }
+
+    /// Runs the walk to its end. Each non-empty bucket, in ascending key
+    /// order, is handed to `visit(key, members)` as one partition; then each
+    /// member moves to the bucket `next(slot, key)` names — a key larger
+    /// than `key` — or leaves the walk when its chain ends. One guard
+    /// checkpoint per partition and per reassignment turn.
+    pub fn sweep(
+        &mut self,
+        guard: &MineGuard,
+        mut visit: impl FnMut(usize, &[usize]) -> Result<(), AbortReason>,
+        mut next: impl FnMut(usize, usize) -> Option<usize>,
+    ) -> Result<(), AbortReason> {
+        let mut members = std::mem::take(&mut self.members);
+        while let Some(key) = self.pop_into(&mut members) {
+            guard.checkpoint()?;
+            visit(key, &members)?;
+            for &slot in &members {
+                guard.checkpoint()?;
+                if let Some(to) = next(slot, key) {
+                    self.push(to, slot);
+                }
+            }
+        }
+        self.members = members;
+        Ok(())
+    }
+
+    /// Pops the smallest non-empty bucket: fills `members` with its slots in
+    /// push order and returns its key, or returns `None` once the sweep has
+    /// passed every key.
+    fn pop_into(&mut self, members: &mut Vec<usize>) -> Option<usize> {
+        members.clear();
+        while self.next < self.head.len() {
+            let key = self.next;
+            self.next += 1;
+            let mut slot = std::mem::replace(&mut self.head[key], NIL);
+            if slot == NIL {
+                continue;
+            }
+            while slot != NIL {
+                members.push(slot as usize);
+                slot = self.link[slot as usize];
+            }
+            return Some(key);
+        }
+        None
+    }
+}
+
+/// Groups database rows by their minimum 1-sequence (Step 1(b) of Figure 2)
+/// into a [`BucketQueue`] keyed by item id. Keys include non-frequent items;
+/// mining skips those partitions but the reassignment chains still flow
+/// through them. One checkpoint per row keeps the scan of a huge database
+/// abortable.
 ///
 /// Operates on the flat columns directly, so it works identically on a
 /// heap-built database and one mapped from a `DSCFD1` file.
-pub fn group_by_min_item(db: &FlatDb) -> BTreeMap<Item, Vec<usize>> {
-    group_by_min_item_guarded(db, &MineGuard::unlimited()).expect("unlimited guard never aborts")
-}
-
-/// [`group_by_min_item`] under a [`MineGuard`]: one checkpoint per row, so
-/// the initial grouping scan of a huge database stays abortable.
 pub fn group_by_min_item_guarded(
     db: &FlatDb,
     guard: &MineGuard,
-) -> Result<BTreeMap<Item, Vec<usize>>, AbortReason> {
-    let mut groups: BTreeMap<Item, Vec<usize>> = BTreeMap::new();
+) -> Result<BucketQueue, AbortReason> {
+    let n_items = db.max_item().map_or(0, |m| m.id() as usize + 1);
+    let mut queue = BucketQueue::new(n_items);
     for (idx, row) in db.rows().enumerate() {
         guard.checkpoint()?;
         // Itemsets are sorted, so a row's minimum item is the smallest
         // first element across its transactions.
         let min = (0..row.n_transactions()).filter_map(|t| row.itemset_items(t).first()).min();
         if let Some(&item) = min {
-            groups.entry(item).or_default().push(idx);
+            queue.push(item.id() as usize, idx);
         }
     }
-    Ok(groups)
+    Ok(queue)
 }
 
-/// The smallest *frequent* item strictly greater than `after` occurring in
-/// `seq` (Step 2.2 of Figure 2, restricted to keys worth visiting).
-pub fn next_frequent_item<'a, S: SeqView<'a>>(
-    seq: S,
-    after: Item,
-    frequent: &[bool],
-) -> Option<Item> {
-    let mut best: Option<Item> = None;
-    for t in 0..seq.n_transactions() {
-        let set = seq.itemset_items(t);
-        let from = disc_core::simd::first_gt_items(set, after);
-        for &item in &set[from..] {
-            if best.is_some_and(|b| item >= b) {
-                break; // items are sorted; nothing better in this transaction
-            }
-            if frequent[item.id() as usize] {
-                best = Some(item);
-                break;
-            }
-        }
+/// The initial first-level partitions as an ordered map from minimum item to
+/// member rows — for callers that inspect the grouping rather than walk it
+/// (the level-0 NRR of [`crate::stats`]).
+pub fn group_by_min_item(db: &FlatDb) -> BTreeMap<Item, Vec<usize>> {
+    let mut queue = group_by_min_item_guarded(db, &MineGuard::unlimited())
+        .expect("unlimited guard never aborts");
+    let mut groups = BTreeMap::new();
+    let mut members = Vec::new();
+    while let Some(key) = queue.pop_into(&mut members) {
+        groups.insert(Item(key as u32), members.clone());
     }
-    best
+    groups
+}
+
+/// Per database row, the ascending distinct *frequent* items it contains —
+/// the whole itinerary of the row's first-level reassignment chain, stored
+/// as one compressed column (row `r` owns `items[offsets[r]..offsets[r+1]]`)
+/// and computed in one pass per row, so every chain turn is a binary search
+/// over a short slice instead of a row walk (Step 2.2 of Figure 2).
+#[derive(Debug)]
+pub struct Itineraries {
+    offsets: Vec<usize>,
+    items: Vec<Item>,
+}
+
+impl Itineraries {
+    /// Builds the itineraries of every row of `db`; `freq1` flags the
+    /// frequent items. One checkpoint per row.
+    pub fn build(
+        db: &FlatDb,
+        freq1: &[bool],
+        guard: &MineGuard,
+    ) -> Result<Itineraries, AbortReason> {
+        let mut offsets = Vec::with_capacity(db.len() + 1);
+        // Sized once to the item-occurrence count, an upper bound, so the
+        // column never reallocates while it grows.
+        let mut items = Vec::with_capacity(db.columns().0.len());
+        let mut own: Vec<Item> = Vec::new();
+        offsets.push(0);
+        for row in db.rows() {
+            guard.checkpoint()?;
+            own.clear();
+            for t in 0..row.n_transactions() {
+                own.extend(row.itemset_items(t).iter().copied().filter(|x| freq1[x.id() as usize]));
+            }
+            own.sort_unstable();
+            own.dedup();
+            items.extend_from_slice(&own);
+            offsets.push(items.len());
+        }
+        items.shrink_to_fit();
+        Ok(Itineraries { offsets, items })
+    }
+
+    /// The smallest frequent item of `row` strictly greater than `after`:
+    /// the next stop of the row's reassignment chain.
+    pub fn next_after(&self, row: usize, after: Item) -> Option<Item> {
+        let items = &self.items[self.offsets[row]..self.offsets[row + 1]];
+        items.get(items.partition_point(|&x| x <= after)).copied()
+    }
+}
+
+/// The bucket key of a next-level partition: the rank of its extension
+/// `elem` among the partition's ascending frequent extensions `exts` (as
+/// [`crate::counting::CountingArray::frequent_extensions`] lists them).
+///
+/// Complete by construction: the keying and reassignment lookups
+/// ([`RowExtensions::min_masked`], [`min_ext_elem`]) return only masked
+/// extensions, and the masks flag exactly the members of `exts`.
+pub fn ext_rank(exts: &[(ExtElem, u64)], elem: ExtElem) -> usize {
+    exts.binary_search_by(|(e, _)| e.cmp(&elem)).expect("masked extensions are frequent")
 }
 
 /// Customer sequence reduction (Step 2.1.2 of Figure 2).
@@ -269,17 +429,6 @@ impl RowExtensions {
     }
 }
 
-/// Builds `(i_mask, s_mask)` plus the ascending frequent extensions of a
-/// partition in one step.
-pub fn frequent_extension_masks(
-    array: &mut CountingArray,
-    delta: u64,
-) -> (Vec<bool>, Vec<bool>, Vec<(ExtElem, u64)>) {
-    let (i_mask, s_mask) = array.frequency_masks(delta);
-    let exts = array.frequent_extensions(delta);
-    (i_mask, s_mask, exts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,13 +460,41 @@ mod tests {
         .unwrap()
     }
 
+    /// Table 6's frequent items at δ = 3: all but `d`.
+    fn table6_freq1() -> Vec<bool> {
+        let mut frequent = vec![true; 8];
+        frequent[item('d').id() as usize] = false;
+        frequent
+    }
+
+    /// Sweeps `queue` with members reassigned along their itineraries;
+    /// returns the visited `(key, members)` in sweep order.
+    fn sweep(mut queue: BucketQueue, itineraries: &Itineraries) -> Vec<(char, Vec<usize>)> {
+        let mut visited = Vec::new();
+        queue
+            .sweep(
+                &MineGuard::unlimited(),
+                |key, members| {
+                    visited.push((Item(key as u32).as_letter().unwrap(), members.to_vec()));
+                    Ok(())
+                },
+                |row, key| itineraries.next_after(row, Item(key as u32)).map(|i| i.id() as usize),
+            )
+            .unwrap();
+        visited
+    }
+
     #[test]
     fn table_6_initial_partitions() {
         // CIDs 1–7 fall in the <(a)>-partition, 8 and 10 in <(b)>, 9 in
-        // <(d)>, 11 in <(e)>.
-        let groups = group_by_min_item(&FlatDb::from_database(&table6()));
-        let view: Vec<(char, Vec<usize>)> =
-            groups.iter().map(|(i, v)| (i.as_letter().unwrap(), v.clone())).collect();
+        // <(d)>, 11 in <(e)>: the dense queue's buckets, popped in order.
+        let flat = FlatDb::from_database(&table6());
+        let mut queue = group_by_min_item_guarded(&flat, &MineGuard::unlimited()).unwrap();
+        let mut view = Vec::new();
+        let mut members = Vec::new();
+        while let Some(key) = queue.pop_into(&mut members) {
+            view.push((Item(key as u32).as_letter().unwrap(), members.clone()));
+        }
         assert_eq!(
             view,
             vec![
@@ -327,37 +504,90 @@ mod tests {
                 ('e', vec![10]),
             ]
         );
+        // The ordered-map view holds the same grouping.
+        let groups = group_by_min_item(&flat);
+        let map_view: Vec<(char, Vec<usize>)> =
+            groups.iter().map(|(i, v)| (i.as_letter().unwrap(), v.clone())).collect();
+        assert_eq!(map_view, view);
     }
 
     #[test]
     fn table_6_reassignment_after_processing_a() {
         // Example 3.1: after <(a)>-partition, CIDs 1 and 2 go to <(c)> and
-        // <(b)>; CID 5 is removed. All 1-sequences except <(d)> are frequent.
-        let db = table6();
-        let mut frequent = vec![true; 8];
-        frequent[item('d').id() as usize] = false;
-        let expected = [
-            Some('c'), // CID 1: (a,d)(d)(a,g,h)(c) — d is non-frequent
-            Some('b'),
-            Some('c'),
-            Some('c'),
-            None, // CID 5: (a,g) — minimum point at its end? g is next
-            Some('e'),
-            Some('b'),
-        ];
+        // <(b)>. All 1-sequences except <(d)> are frequent.
+        let flat = FlatDb::from_database(&table6());
+        let itineraries =
+            Itineraries::build(&flat, &table6_freq1(), &MineGuard::unlimited()).unwrap();
+        // CID 1: (a,d)(d)(a,g,h)(c) — d is non-frequent. CID 5 = (a,g): the
+        // paper removes it ("minimum point at its end"); its next minimum
+        // 1-sequence is g, and the partition of <(g)> simply finds nothing
+        // of length ≥ 2 in it.
+        let expected = ['c', 'b', 'c', 'c', 'g', 'e', 'b'];
         for (idx, want) in expected.iter().enumerate() {
-            let got = next_frequent_item(db.sequence(idx), item('a'), &frequent)
-                .map(|i| i.as_letter().unwrap());
-            if idx == 4 {
-                // CID 5 = (a,g): the paper removes it ("minimum point at its
-                // end" — nothing frequent follows in a useful way); its next
-                // minimum 1-sequence is g, and the partition of <(g)> simply
-                // finds nothing of length ≥ 2 in it.
-                assert_eq!(got, Some('g'));
-            } else {
-                assert_eq!(got, *want, "CID {}", idx + 1);
-            }
+            let got = itineraries.next_after(idx, item('a')).map(|i| i.as_letter().unwrap());
+            assert_eq!(got, Some(*want), "CID {}", idx + 1);
         }
+        // Chains end after a row's largest frequent item.
+        assert_eq!(itineraries.next_after(4, item('g')), None);
+    }
+
+    #[test]
+    fn example_3_1_sweep_visits_partitions_in_order_with_their_reassignments() {
+        // One forward sweep of the dense queue reproduces Example 3.1's walk:
+        // <(a)> first, then each later partition holds its initial members
+        // followed by the rows reassigned to it, in the order they arrived.
+        let flat = FlatDb::from_database(&table6());
+        let guard = MineGuard::unlimited();
+        let freq1 = table6_freq1();
+        let itineraries = Itineraries::build(&flat, &freq1, &guard).unwrap();
+        let visited = sweep(group_by_min_item_guarded(&flat, &guard).unwrap(), &itineraries);
+        assert_eq!(
+            visited,
+            vec![
+                ('a', vec![0, 1, 2, 3, 4, 5, 6]),
+                ('b', vec![7, 9, 1, 6]),
+                ('c', vec![0, 2, 3, 9, 1]),
+                ('d', vec![8]),
+                ('e', vec![10, 5, 7, 6, 2, 3, 9, 1]),
+                ('f', vec![8, 10, 5, 7, 2, 3, 9, 1]),
+                ('g', vec![4, 0, 6, 8, 10, 5, 2, 3, 9, 1]),
+                ('h', vec![7, 0, 6, 8, 5, 2, 3, 9]),
+            ]
+        );
+        // Lifetime completeness: each frequent key's partition is exactly the
+        // rows containing it.
+        let db = table6();
+        for (key, members) in &visited {
+            if !freq1[item(*key).id() as usize] {
+                continue;
+            }
+            let mut got = members.clone();
+            got.sort_unstable();
+            let want: Vec<usize> = (0..db.len())
+                .filter(|&r| db.sequence(r).first_txn_containing(item(*key)).is_some())
+                .collect();
+            assert_eq!(got, want, "<({key})>-partition");
+        }
+    }
+
+    #[test]
+    fn bucket_queue_reuses_its_buffers_after_reset() {
+        let mut queue = BucketQueue::new(3);
+        queue.push(2, 5);
+        queue.push(0, 1);
+        let mut members = Vec::new();
+        assert_eq!(queue.pop_into(&mut members), Some(0));
+        assert_eq!(members, vec![1]);
+        queue.push(1, 1);
+        assert_eq!(queue.pop_into(&mut members), Some(1));
+        assert_eq!(queue.pop_into(&mut members), Some(2));
+        assert_eq!(members, vec![5]);
+        assert_eq!(queue.pop_into(&mut members), None);
+        assert!(members.is_empty());
+        queue.reset(2);
+        queue.push(1, 0);
+        assert_eq!(queue.pop_into(&mut members), Some(1));
+        assert_eq!(members, vec![0]);
     }
 
     #[test]
