@@ -2,7 +2,7 @@
 //! comparative order, containment/leftmost embedding, and Apriori-KMS.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use disc_algo::kms::apriori_kms;
+use disc_algo::kms::apriori_kms_raw;
 use disc_core::{cmp_sequences, contains, Item, Itemset, Sequence};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,8 +59,10 @@ fn bench_kms(c: &mut Criterion) {
     c.bench_function("apriori_kms/64members_32prefixes", |b| {
         b.iter(|| {
             let mut found = 0usize;
+            let list = black_box(&list);
             for m in &members {
-                found += usize::from(apriori_kms(black_box(m), black_box(&list)).is_some());
+                let kms = apriori_kms_raw(black_box(m), list).map(|raw| raw.into_kms(list));
+                found += usize::from(kms.is_some());
             }
             black_box(found)
         })

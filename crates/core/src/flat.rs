@@ -24,7 +24,7 @@
 //!   monomorphization — the nested representation keeps working everywhere,
 //!   the flat one is used on the hot paths;
 //! * a [`FlatKey`] caches a sequence's flattened `(item, transaction-number)`
-//!   pairs so repeated comparisons (AVL-tree descents in the k-sorted
+//!   pairs so repeated comparisons (map descents in the k-sorted
 //!   database) are a single slice comparison instead of re-deriving the
 //!   flattened form each time.
 //!
@@ -448,8 +448,8 @@ pub(crate) fn unpack64(word: u64) -> (Item, u32) {
 /// with shorter prefixes smaller — is exactly the comparative order of
 /// Definition 2.2.
 ///
-/// Keying the k-sorted database's AVL tree by `FlatKey` memoizes the
-/// flattening (every tree descent is one word-slice compare), and because
+/// Keying the k-sorted database's bucket map by `FlatKey` memoizes the
+/// flattening (every map descent is one word-slice compare), and because
 /// the flattened form is invertible, no nested [`Sequence`] is stored at
 /// all: one is reconstructed only when a key is reported or split into a
 /// re-keying condition. Keys drained and discarded by the Lemma 2.2 skips

@@ -13,7 +13,7 @@
 //!   prefix `> X` makes the whole k-sequence exceed `α_δ` regardless of the
 //!   element, so the plain minimum extension applies (step 13).
 
-use crate::kms::{cached_min_extension_above, ExtensionCache, Kms, RawKms};
+use crate::kms::{cached_min_extension_above, ExtensionCache, RawKms};
 use disc_core::{ExtElem, ExtMode, SeqView, Sequence};
 
 /// The bound comparison mode `Ω` of Definition 2.5.
@@ -147,13 +147,15 @@ pub fn apriori_ckms_resolved<'a, S: SeqView<'a>>(
     }
 }
 
-/// [`apriori_ckms_raw`] with the key sequence materialized.
-pub fn apriori_ckms<'a, S: SeqView<'a>>(
+/// [`apriori_ckms_raw`] with the key sequence materialized (unit tests only;
+/// the discovery loop re-keys members on raw results).
+#[cfg(test)]
+pub(crate) fn apriori_ckms<'a, S: SeqView<'a>>(
     s: S,
     freq_prev: &[Sequence],
     ptr: usize,
     cond: &Condition,
-) -> Option<Kms> {
+) -> Option<crate::kms::Kms> {
     apriori_ckms_raw(s, freq_prev, ptr, cond).map(|raw| raw.into_kms(freq_prev))
 }
 

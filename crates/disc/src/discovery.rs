@@ -18,6 +18,11 @@
 //!      conditional minimum `≥ α_δ` (Ω = `≥`) without touching them;
 //! 3. repeats until fewer than δ members remain.
 //!
+//! Members may carry weights (the §5 weighting extension, see
+//! [`crate::weighted`]): every "number of members" above then reads "total
+//! member weight", and the loop is otherwise the same. The unweighted
+//! miners give every member weight 1.
+//!
 //! ### Why bucket size is exact support
 //!
 //! Invariant: a member's key is its minimum k-subsequence (with frequent
@@ -31,7 +36,7 @@
 use crate::ckms::{apriori_ckms_resolved, BoundMode, ResolvedCondition};
 use crate::counting::CountingArray;
 use crate::kms::{apriori_kms_cached, ExtensionCache};
-use crate::sorted_db::{Entry, KSortedDb};
+use crate::sorted_db::{Bucket, KSortedDb};
 use disc_core::packed::fits_packed_budget;
 use disc_core::{AbortReason, ExtElem, FlatKey, MineGuard, PackedKey, SeqKey, SeqView, Sequence};
 
@@ -111,17 +116,47 @@ pub(crate) fn discover_frequent_k_into<'a, S: SeqView<'a>>(
     guard: &MineGuard,
     array: &mut CountingArray,
 ) -> Result<DiscoveryOutput, AbortReason> {
+    discover_with(members, freq_prev, delta, bi_level, guard, array, |_| 1)
+}
+
+/// [`discover_frequent_k_into`] with member `m` weighing `weights[m]`:
+/// `delta` is a weighted threshold and every reported support is a weighted
+/// support. The guard is still charged per member, not per unit of weight.
+pub(crate) fn discover_weighted_into<'a, S: SeqView<'a>>(
+    members: &[S],
+    weights: &[u64],
+    freq_prev: &[Sequence],
+    delta: u64,
+    bi_level: bool,
+    guard: &MineGuard,
+    array: &mut CountingArray,
+) -> Result<DiscoveryOutput, AbortReason> {
+    debug_assert_eq!(members.len(), weights.len());
+    discover_with(members, freq_prev, delta, bi_level, guard, array, |m| weights[m])
+}
+
+/// Picks the key representation and runs the loop with member weights
+/// `weight(m)`.
+fn discover_with<'a, S: SeqView<'a>>(
+    members: &[S],
+    freq_prev: &[Sequence],
+    delta: u64,
+    bi_level: bool,
+    guard: &MineGuard,
+    array: &mut CountingArray,
+    weight: impl Fn(usize) -> u64,
+) -> Result<DiscoveryOutput, AbortReason> {
     debug_assert!(freq_prev.windows(2).all(|w| w[0] < w[1]), "(k-1)-sorted list not sorted");
-    if freq_prev.is_empty() || (members.len() as u64) < delta {
+    if freq_prev.is_empty() || (0..members.len()).map(&weight).sum::<u64>() < delta {
         return Ok(DiscoveryOutput::default());
     }
     let fits =
         fits_packed_budget(max_item_id(members, freq_prev), max_txn_count(members, freq_prev))
             .is_ok();
     if fits {
-        discover_impl::<S, PackedKey>(members, freq_prev, delta, bi_level, guard, array)
+        discover_impl::<S, PackedKey>(members, freq_prev, delta, bi_level, guard, array, &weight)
     } else {
-        discover_impl::<S, FlatKey>(members, freq_prev, delta, bi_level, guard, array)
+        discover_impl::<S, FlatKey>(members, freq_prev, delta, bi_level, guard, array, &weight)
     }
 }
 
@@ -157,6 +192,7 @@ fn discover_impl<'a, S: SeqView<'a>, K: SeqKey>(
     bi_level: bool,
     guard: &MineGuard,
     array: &mut CountingArray,
+    weight: &impl Fn(usize) -> u64,
 ) -> Result<DiscoveryOutput, AbortReason> {
     let mut out = DiscoveryOutput::default();
 
@@ -176,25 +212,25 @@ fn discover_impl<'a, S: SeqView<'a>, K: SeqKey>(
     for (m, &seq) in members.iter().enumerate() {
         guard.checkpoint()?;
         if let Some(raw) = apriori_kms_cached(seq, freq_prev, m, &mut cache) {
-            db.insert_key(m, prev_keys[raw.ptr].extended_key(raw.elem), raw.ptr);
+            db.insert_key(m, prev_keys[raw.ptr].extended_key(raw.elem), raw.ptr, weight(m));
         }
     }
 
-    // Step 2: compare / re-key until fewer than δ members remain.
-    while db.len() as u64 >= delta {
+    // Step 2: compare / re-key until less than δ of member weight remains.
+    while db.len() >= delta {
         guard.checkpoint()?;
         if db.alpha_1_equals_delta(delta) {
             // Lemma 2.1: frequent; the whole bucket keys on α₁.
             let (min_key, bucket) = db.take_min().expect("non-empty");
             let key = min_key.to_sequence();
-            let support = bucket.len() as u64;
+            let (support, entries) = (bucket.weight, bucket.entries.len() as u64);
 
             if bi_level {
                 // §3.2: the bucket is the virtual partition of α₁.
-                guard.charge(support)?;
+                guard.charge(entries)?;
                 array.reset();
-                for e in &bucket {
-                    array.add_member(members[e.member], &key);
+                for e in &bucket.entries {
+                    array.add_member_weighted(members[e.member], &key, weight(e.member));
                 }
                 array.frequent_extensions_into(delta, &mut ext_buf);
                 for &(elem, support_k1) in &ext_buf {
@@ -203,8 +239,8 @@ fn discover_impl<'a, S: SeqView<'a>, K: SeqKey>(
             }
 
             let rcond = resolve_key_condition(&min_key, &prev_keys, BoundMode::Strictly);
-            guard.charge(support)?;
-            rekey(&mut db, members, freq_prev, &prev_keys, &rcond, bucket, &mut cache);
+            guard.charge(entries)?;
+            rekey(&mut db, members, freq_prev, &prev_keys, &rcond, bucket, &mut cache, weight);
             out.freq_k.push((key, support));
         } else {
             // Lemma 2.2: everything in [α₁, α_δ) is non-frequent; skip it.
@@ -212,8 +248,8 @@ fn discover_impl<'a, S: SeqView<'a>, K: SeqKey>(
             let rcond = resolve_key_condition(&bound, &prev_keys, BoundMode::AtLeast);
             let buckets = db.take_buckets_less_than(&bound);
             for bucket in buckets {
-                guard.charge(bucket.len() as u64)?;
-                rekey(&mut db, members, freq_prev, &prev_keys, &rcond, bucket, &mut cache);
+                guard.charge(bucket.entries.len() as u64)?;
+                rekey(&mut db, members, freq_prev, &prev_keys, &rcond, bucket, &mut cache, weight);
             }
         }
     }
@@ -241,23 +277,30 @@ fn resolve_key_condition<K: SeqKey>(
 /// Re-keys a drained bucket by Apriori-CKMS; members without a conditional
 /// minimum leave the k-sorted database. The bucket allocation is recycled
 /// into the database's pool.
+#[allow(clippy::too_many_arguments)]
 fn rekey<'a, S: SeqView<'a>, K: SeqKey>(
     db: &mut KSortedDb<K>,
     members: &[S],
     freq_prev: &[Sequence],
     prev_keys: &[K],
     rcond: &ResolvedCondition,
-    bucket: Vec<Entry>,
+    bucket: Bucket,
     cache: &mut ExtensionCache,
+    weight: &impl Fn(usize) -> u64,
 ) {
-    for &e in &bucket {
+    for &e in &bucket.entries {
         let raw =
             apriori_ckms_resolved(members[e.member], freq_prev, e.ptr, rcond, e.member, cache);
         if let Some(raw) = raw {
-            db.insert_key(e.member, prev_keys[raw.ptr].extended_key(raw.elem), raw.ptr);
+            db.insert_key(
+                e.member,
+                prev_keys[raw.ptr].extended_key(raw.elem),
+                raw.ptr,
+                weight(e.member),
+            );
         }
     }
-    db.recycle(bucket);
+    db.recycle(bucket.entries);
 }
 
 #[cfg(test)]
@@ -401,5 +444,66 @@ mod tests {
             .map(|(p, s)| (p.clone(), s))
             .collect();
         assert_eq!(out.freq_k, expected);
+    }
+
+    #[test]
+    fn flat_key_fallback_reproduces_table8() {
+        // One member padded past the packed transaction budget with an item
+        // that occurs in no listed prefix: the dispatch must take the wide
+        // `FlatKey` loop, and the answer must not move.
+        use disc_core::packed::MAX_PACKED_TXNS;
+        let list = sorted(&["(a)(a,e)", "(a)(a,g)", "(a)(a,h)"]);
+        let packed_members = table8_members();
+        let mut flat_members = packed_members.clone();
+        let pad = std::iter::repeat_n(seq("(z)").itemsets()[0].clone(), MAX_PACKED_TXNS as usize);
+        flat_members[0] = Sequence::new(flat_members[0].itemsets().iter().cloned().chain(pad));
+        let fits = |ms: &[Sequence]| {
+            let ms: Vec<&Sequence> = ms.iter().collect();
+            fits_packed_budget(max_item_id(&ms, &list), max_txn_count(&ms, &list)).is_ok()
+        };
+        assert!(fits(&packed_members));
+        assert!(!fits(&flat_members));
+        for bi_level in [false, true] {
+            let packed = discover_frequent_k(&packed_members, &list, 3, bi_level, 26);
+            let flat = discover_frequent_k(&flat_members, &list, 3, bi_level, 26);
+            let got: Vec<(String, u64)> =
+                flat.freq_k.iter().map(|(p, s)| (p.to_string(), *s)).collect();
+            assert_eq!(
+                got,
+                vec![
+                    ("(a)(a, e, g)".to_string(), 5),
+                    ("(a)(a, e, h)".to_string(), 3),
+                    ("(a)(a, g, h)".to_string(), 4),
+                ]
+            );
+            assert_eq!(flat.freq_k, packed.freq_k);
+            assert_eq!(flat.freq_k1, packed.freq_k1);
+        }
+    }
+
+    #[test]
+    fn weighted_discovery_reports_bucket_weight_as_support() {
+        // Table 8 with CID 1 weighing 3 and CID 3 weighing 0: supports are
+        // weight sums, so <(a)(a,g,h)> (CIDs 1, 3, 4, 6) weighs 3 + 0 + 1 + 1.
+        let list = sorted(&["(a)(a,e)", "(a)(a,g)", "(a)(a,h)"]);
+        let members = table8_members();
+        let views: Vec<&Sequence> = members.iter().collect();
+        let weights = [3, 1, 0, 1, 1, 1];
+        let db = SequenceDatabase::from_sequences(members.clone());
+        let mut array = CountingArray::new(8);
+        let guard = MineGuard::unlimited();
+        let out = discover_weighted_into(&views, &weights, &list, 4, true, &guard, &mut array)
+            .expect("unlimited guard");
+        let got: Vec<(String, u64)> = out.freq_k.iter().map(|(p, s)| (p.to_string(), *s)).collect();
+        assert_eq!(got, vec![("(a)(a, e, g)".to_string(), 4), ("(a)(a, g, h)".to_string(), 5)]);
+        for (p, s) in out.freq_k.iter().chain(&out.freq_k1) {
+            let definitional: u64 = db
+                .sequences()
+                .zip(weights)
+                .filter(|(m, _)| disc_core::contains(m, p))
+                .map(|(_, w)| w)
+                .sum();
+            assert_eq!(*s, definitional, "pattern {p}");
+        }
     }
 }

@@ -370,8 +370,10 @@ pub fn apriori_kms_cached<'a, S: SeqView<'a>>(
     cache.first_with_extension(s, freq_prev, member, 0)
 }
 
-/// [`apriori_kms_raw`] with the key sequence materialized.
-pub fn apriori_kms<'a, S: SeqView<'a>>(s: S, freq_prev: &[Sequence]) -> Option<Kms> {
+/// [`apriori_kms_raw`] with the key sequence materialized (unit tests only;
+/// the discovery loop keys members on raw results).
+#[cfg(test)]
+pub(crate) fn apriori_kms<'a, S: SeqView<'a>>(s: S, freq_prev: &[Sequence]) -> Option<Kms> {
     apriori_kms_raw(s, freq_prev).map(|raw| raw.into_kms(freq_prev))
 }
 

@@ -25,7 +25,7 @@
 //! | [`counting`] | the counting array of §3.1 (Figures 3 and 7) |
 //! | [`kms`] | Apriori-KMS (Figure 5) |
 //! | [`ckms`] | Apriori-CKMS (Figure 6) |
-//! | [`sorted_db`] | the k-sorted database on the locative AVL tree (§3.2) |
+//! | [`sorted_db`] | the k-sorted database (§3.2's locative AVL tree, as an ordered bucket map with member weights) |
 //! | [`discovery`] | frequent k-sequence discovery (Figure 4) + the bi-level optimization |
 //! | [`partition`] | multi-level partitioning, reduction, reassignment chains (§3.1) |
 //! | [`disc_all`] | the DISC-all algorithm (Figure 2) |
@@ -33,7 +33,7 @@
 //! | [`dynamic`] | the Dynamic DISC-all algorithm (Appendix) |
 //! | [`resume`] | durable checkpoint/resume at first-level partition boundaries |
 //! | [`stats`] | the NRR metric of §4.2 (Tables 12 and 14) |
-//! | [`weighted`] | the §5 future-work extension: weighted sequence mining |
+//! | [`weighted`] | the §5 future-work extension: weighted sequence mining on the shared discovery loop |
 //!
 //! ## Quick example
 //!

@@ -6,29 +6,30 @@
 //! pattern is the total weight of the customers containing it, and a pattern
 //! is frequent when its weighted support reaches a threshold `δ_w`. The DISC
 //! strategy transfers directly because its two lemmas never count anything —
-//! they only compare positions in a sorted database:
+//! they only compare positions in a sorted database. Weighting changes how
+//! rank accumulates along the head walk, not the walk itself:
 //!
-//! * sort customers by (conditional) k-minimum subsequence, with weights;
-//! * let `α_δ` be the key at the position where **cumulative weight**
-//!   reaches `δ_w` ([`disc_tree::WeightedLocativeTree::select_by_weight`]);
+//! * the k-sorted database ([`KSortedDb`](crate::sorted_db::KSortedDb))
+//!   keeps each bucket's total member weight;
+//! * `α_δ` is the key where **cumulative bucket weight** reaches `δ_w`;
 //! * `α₁ = α_δ` ⇒ the bucket of `α₁` carries weight ≥ `δ_w`, and — by the
 //!   same invariant as the unweighted case — every customer containing `α₁`
 //!   keys on it, so the bucket weight is the exact weighted support;
 //! * `α₁ < α_δ` ⇒ any `α ∈ [α₁, α_δ)` is supported only by customers keyed
 //!   below `α_δ`, whose total weight is < `δ_w` — non-frequent, skipped.
 //!
-//! Uniform weight 1 recovers ordinary mining exactly (property-tested).
+//! [`WeightedDisc`] therefore runs the shared discovery loop of
+//! [`crate::discovery`] (packed or flat keys, extension cache, bi-level
+//! counting) with the customer weights. Uniform weight 1 recovers ordinary
+//! mining exactly (property-tested).
 //!
-//! The miner here runs the DISC strategy directly from k = 2 (weighted
-//! counting arrays for level 1, weighted k-sorted databases above); the
-//! multi-level partitioning of DISC-all is orthogonal and omitted for
-//! clarity.
+//! The miner runs discovery over the whole database from k = 2 (a weighted
+//! counting array for level 1); the multi-level partitioning of DISC-all is
+//! orthogonal and not applied here.
 
-use crate::ckms::{apriori_ckms, BoundMode, Condition};
 use crate::counting::CountingArray;
-use crate::kms::apriori_kms;
-use disc_core::{contains, CustomerId, Item, MiningResult, Sequence, SequenceDatabase};
-use disc_tree::WeightedLocativeTree;
+use crate::discovery::discover_weighted_into;
+use disc_core::{contains, CustomerId, Item, MineGuard, MiningResult, Sequence, SequenceDatabase};
 
 /// A sequence database whose customers carry weights.
 #[derive(Debug, Clone, Default)]
@@ -122,90 +123,28 @@ impl WeightedDisc {
             }
         }
 
-        // Levels k ≥ 2 by weighted DISC discovery.
-        while !freq_prev.is_empty() && wdb.total_weight() >= delta_w {
-            let out = self.discover(wdb, &freq_prev, delta_w, n_items, &mut result);
-            freq_prev = out;
-        }
-        result
-    }
-
-    /// One weighted frequent-k-sequence discovery pass; returns the list
-    /// seeding the next pass ((k+1)-sequences under bi-level, k-sequences
-    /// otherwise).
-    fn discover(
-        &self,
-        wdb: &WeightedDatabase,
-        freq_prev: &[Sequence],
-        delta_w: u64,
-        n_items: usize,
-        result: &mut MiningResult,
-    ) -> Vec<Sequence> {
-        #[derive(Clone, Copy)]
-        struct Entry {
-            member: usize,
-            ptr: usize,
-        }
-
-        let mut tree: WeightedLocativeTree<Sequence, Entry> = WeightedLocativeTree::new();
-        for (m, s) in wdb.db.sequences().enumerate() {
-            if let Some(kms) = apriori_kms(s, freq_prev) {
-                tree.insert(kms.key, Entry { member: m, ptr: kms.ptr }, wdb.weights[m]);
-            }
-        }
-
-        let mut freq_k: Vec<Sequence> = Vec::new();
-        let mut freq_k1: Vec<(Sequence, u64)> = Vec::new();
-        while tree.total_weight() >= delta_w {
-            let alpha_1 = tree.min().expect("non-empty").0.clone();
-            let alpha_delta =
-                tree.select_by_weight(delta_w).expect("total weight >= delta_w").clone();
-
-            if alpha_1 == alpha_delta {
-                let (key, bucket, bucket_weight) = tree.take_min().expect("non-empty");
-                result.insert(key.clone(), bucket_weight);
-                freq_k.push(key.clone());
-
-                if self.bi_level {
-                    let mut array = CountingArray::new(n_items);
-                    for (e, w) in &bucket {
-                        array.add_member_weighted(wdb.db.sequence(e.member), &key, *w);
-                    }
-                    for (elem, support) in array.frequent_extensions(delta_w) {
-                        freq_k1.push((key.extended(elem), support));
-                    }
-                }
-
-                let cond = Condition::new(&key, BoundMode::Strictly);
-                for (e, w) in bucket {
-                    if let Some(kms) =
-                        apriori_ckms(wdb.db.sequence(e.member), freq_prev, e.ptr, &cond)
-                    {
-                        tree.insert(kms.key, Entry { member: e.member, ptr: kms.ptr }, w);
-                    }
-                }
-            } else {
-                let cond = Condition::new(&alpha_delta, BoundMode::AtLeast);
-                for (_, bucket, _) in tree.take_less_than(&alpha_delta) {
-                    for (e, w) in bucket {
-                        if let Some(kms) =
-                            apriori_ckms(wdb.db.sequence(e.member), freq_prev, e.ptr, &cond)
-                        {
-                            tree.insert(kms.key, Entry { member: e.member, ptr: kms.ptr }, w);
-                        }
-                    }
-                }
-            }
-        }
-
-        if self.bi_level {
-            for (p, s) in &freq_k1 {
+        // Levels k ≥ 2 by the shared discovery loop; under bi-level each
+        // pass also yields level k + 1, which seeds the next pass.
+        let members: Vec<&Sequence> = wdb.db.sequences().collect();
+        let guard = MineGuard::unlimited();
+        while !freq_prev.is_empty() {
+            let out = discover_weighted_into(
+                &members,
+                &wdb.weights,
+                &freq_prev,
+                delta_w,
+                self.bi_level,
+                &guard,
+                &mut array,
+            )
+            .expect("unlimited guard never aborts");
+            for (p, s) in out.freq_k.iter().chain(&out.freq_k1) {
                 result.insert(p.clone(), *s);
             }
-            freq_k1.into_iter().map(|(p, _)| p).collect()
-        } else {
-            freq_k
+            let next = if self.bi_level { out.freq_k1 } else { out.freq_k };
+            freq_prev = next.into_iter().map(|(p, _)| p).collect();
         }
+        result
     }
 }
 
@@ -320,6 +259,38 @@ mod tests {
             let got = WeightedDisc::default().mine(&wdb, delta);
             let diff = got.diff(&expected);
             assert!(diff.is_empty(), "δ={delta}:\n{}", diff.join("\n"));
+        }
+    }
+
+    #[test]
+    fn flat_key_fallback_matches_weighted_brute_force() {
+        // Customer 2 (weight 1) padded past the packed transaction budget
+        // with an item whose weighted support stays below every threshold:
+        // discovery runs on `FlatKey`s and the answer must not move.
+        use disc_core::packed::MAX_PACKED_TXNS;
+        let plain = table1_weighted();
+        let pad = std::iter::repeat_n(seq("(z)").itemsets()[0].clone(), MAX_PACKED_TXNS as usize);
+        let padded = WeightedDatabase::from_weighted(plain.database().sequences().enumerate().map(
+            |(i, s)| {
+                let s = if i == 1 {
+                    Sequence::new(s.itemsets().iter().cloned().chain(pad.clone()))
+                } else {
+                    s.clone()
+                };
+                (s, plain.weight(i))
+            },
+        ));
+        assert!(padded
+            .database()
+            .sequences()
+            .any(|s| s.n_transactions() > MAX_PACKED_TXNS as usize));
+        for delta_w in [2u64, 3, 5, 8] {
+            let expected = weighted_brute_force(&plain, delta_w);
+            for miner in [WeightedDisc::default(), WeightedDisc { bi_level: false }] {
+                let got = miner.mine(&padded, delta_w);
+                let diff = got.diff(&expected);
+                assert!(diff.is_empty(), "δw={delta_w}:\n{}", diff.join("\n"));
+            }
         }
     }
 

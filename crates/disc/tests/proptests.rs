@@ -6,8 +6,8 @@
 //!   exactly the brute-force frequent set with exact supports on random
 //!   databases.
 
-use disc_algo::ckms::{apriori_ckms, BoundMode, Condition};
-use disc_algo::kms::apriori_kms;
+use disc_algo::ckms::{apriori_ckms_raw, BoundMode, Condition};
+use disc_algo::kms::{apriori_kms_raw, Kms};
 use disc_algo::{DiscAll, DynamicDiscAll};
 use disc_core::kmin::{all_k_subsequences, min_k_subsequence_with_allowed_prefix_naive};
 use disc_core::{
@@ -45,6 +45,16 @@ fn arb_prefix_scenario(k: usize) -> impl Strategy<Value = (Sequence, Vec<Sequenc
         picked.sort();
         (s, picked)
     })
+}
+
+/// Apriori-KMS with the key sequence materialized.
+fn apriori_kms(s: &Sequence, list: &[Sequence]) -> Option<Kms> {
+    apriori_kms_raw(s, list).map(|raw| raw.into_kms(list))
+}
+
+/// Apriori-CKMS with the key sequence materialized.
+fn apriori_ckms(s: &Sequence, list: &[Sequence], ptr: usize, cond: &Condition) -> Option<Kms> {
+    apriori_ckms_raw(s, list, ptr, cond).map(|raw| raw.into_kms(list))
 }
 
 proptest! {

@@ -24,6 +24,14 @@ fn arb_weighted_db() -> impl Strategy<Value = WeightedDatabase> {
         .prop_map(WeightedDatabase::from_weighted)
 }
 
+/// Up to 8 customers over at most 3 distinct items, weights `0..=5`: members
+/// often share keys, so buckets hold several members of unequal (or zero)
+/// weight and bucket weight differs from bucket length.
+fn arb_shared_key_db() -> impl Strategy<Value = WeightedDatabase> {
+    prop::collection::vec((arb_sequence(3), 0u64..=5), 1..=8)
+        .prop_map(WeightedDatabase::from_weighted)
+}
+
 /// Weighted level-wise brute force (definitional).
 fn weighted_brute(wdb: &WeightedDatabase, delta_w: u64) -> MiningResult {
     let mut result = MiningResult::new();
@@ -71,6 +79,20 @@ proptest! {
     #[test]
     fn weighted_disc_matches_weighted_brute_force(
         wdb in arb_weighted_db(),
+        frac in 1u64..=10,
+    ) {
+        let delta_w = (wdb.total_weight() * frac / 10).max(1);
+        let expected = weighted_brute(&wdb, delta_w);
+        for miner in [WeightedDisc::default(), WeightedDisc { bi_level: false }] {
+            let got = miner.mine(&wdb, delta_w);
+            let diff = got.diff(&expected);
+            prop_assert!(diff.is_empty(), "δw={}:\n{}", delta_w, diff.join("\n"));
+        }
+    }
+
+    #[test]
+    fn shared_keys_with_zero_and_uneven_weights_match_brute_force(
+        wdb in arb_shared_key_db(),
         frac in 1u64..=10,
     ) {
         let delta_w = (wdb.total_weight() * frac / 10).max(1);

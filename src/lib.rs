@@ -15,7 +15,6 @@
 //!   [`ParallelDiscAll`](disc_algo::ParallelDiscAll);
 //! * [`baselines`] — PrefixSpan, Pseudo, GSP, SPADE, SPAM;
 //! * [`datagen`] — the synthetic customer-sequence generator;
-//! * [`tree`] — the locative AVL tree;
 //! * [`server`] — mining-as-a-service: the multi-tenant job server behind
 //!   `disc-mine serve`.
 //!
@@ -46,7 +45,6 @@ pub use disc_baselines as baselines;
 pub use disc_core as core;
 pub use disc_datagen as datagen;
 pub use disc_server as server;
-pub use disc_tree as tree;
 
 /// The most common imports in one place.
 pub mod prelude {
