@@ -320,9 +320,12 @@ impl Client {
     }
 
     /// Polls job `id` until it reaches a terminal state or `deadline`
-    /// passes. Returns the terminal state name.
+    /// passes. Returns the terminal state name. The pause between polls
+    /// doubles from 2 ms up to 50 ms: a short job is seen done within
+    /// about a poll of finishing, a long one costs few requests.
     pub fn wait_terminal(&self, id: u64, deadline: Duration) -> Result<String, ClientError> {
         let started = Instant::now();
+        let mut gap = Duration::from_millis(2);
         loop {
             let reply = self.request("GET", &format!("/jobs/{id}"), b"")?;
             if reply.status != 200 {
@@ -340,7 +343,8 @@ impl Client {
                     last: format!("job {id} still {state} after {deadline:?}"),
                 });
             }
-            std::thread::sleep(Duration::from_millis(50));
+            std::thread::sleep(gap);
+            gap = (gap * 2).min(Duration::from_millis(50));
         }
     }
 

@@ -16,12 +16,14 @@
 //! * the **mode** (`all` / `closed` / `maximal`) selects which projection
 //!   of the frequent set was rendered.
 //!
-//! Entries hold the fully rendered result lines (support + pattern text in
-//! comparative order — exactly the bytes `disc-mine` prints), so a cache
-//! hit is a clone of an `Arc`, no re-rendering. Eviction is LRU by entry
-//! count; hits refresh recency.
+//! Entries hold the fully rendered result rows (support + pattern text in
+//! comparative order — exactly the bytes `disc-mine` prints) in one
+//! buffer, so a cache hit is a clone of an `Arc`, no re-rendering.
+//! Eviction is LRU by entry count; hits refresh recency.
 
+use disc_core::MiningResult;
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::sync::Arc;
 
 /// A cache key. See the module docs for field semantics.
@@ -38,43 +40,108 @@ pub struct CacheKey {
 }
 
 /// A finished, rendered mining result — what jobs produce and the cache
-/// stores. `lines` are `(support, pattern-text)` in comparative order.
+/// stores. One byte buffer holds every row in `disc-mine`'s
+/// `"{support}\t{pattern}\n"` format, in comparative order, beside the
+/// offset where each row ends: a page is a slice copy, the persisted
+/// `result.tsv` is the buffer itself, and a finished job retains two
+/// allocations however many patterns it holds.
 #[derive(Debug)]
 pub struct RenderedResult {
-    /// `(support, pattern)` rows, comparative order.
-    pub lines: Vec<(u64, String)>,
+    /// Every row, rendered.
+    bytes: Vec<u8>,
+    /// One past the `\n` of each row in `bytes`.
+    ends: Vec<usize>,
     /// Total frequent sequences before any mode projection.
     pub total_patterns: usize,
 }
 
 impl RenderedResult {
+    /// Renders `(pattern, support)` rows in the order given.
+    pub fn from_rows<P: std::fmt::Display>(
+        rows: impl IntoIterator<Item = (P, u64)>,
+        total_patterns: usize,
+    ) -> RenderedResult {
+        let rows = rows.into_iter();
+        let mut bytes = Vec::new();
+        let mut ends = Vec::with_capacity(rows.size_hint().0);
+        for (pattern, support) in rows {
+            writeln!(bytes, "{support}\t{pattern}").expect("writing to a Vec cannot fail");
+            ends.push(bytes.len());
+        }
+        bytes.shrink_to_fit();
+        ends.shrink_to_fit();
+        RenderedResult { bytes, ends, total_patterns }
+    }
+
+    /// Renders the `mode` projection (`all`, `closed` or `maximal`) of a
+    /// mining result.
+    pub fn project(result: &MiningResult, mode: &str) -> RenderedResult {
+        match mode {
+            "closed" => RenderedResult::from_rows(result.closed_patterns(), result.len()),
+            "maximal" => RenderedResult::from_rows(result.maximal_patterns(), result.len()),
+            _ => RenderedResult::from_rows(result.iter(), result.len()),
+        }
+    }
+
+    /// Rebuilds a result from the bytes [`RenderedResult::as_bytes`]
+    /// returned (a persisted `result.tsv`). `None` unless every row is
+    /// UTF-8 `support\tpattern\n` with a `u64` support. The projection's
+    /// source count is not persisted, so `total_patterns` is the row count.
+    pub fn from_tsv(bytes: Vec<u8>) -> Option<RenderedResult> {
+        let mut ends = Vec::new();
+        let mut end = 0;
+        for line in std::str::from_utf8(&bytes).ok()?.split_inclusive('\n') {
+            let (support, _pattern) = line.strip_suffix('\n')?.split_once('\t')?;
+            support.parse::<u64>().ok()?;
+            end += line.len();
+            ends.push(end);
+        }
+        let total_patterns = ends.len();
+        Some(RenderedResult { bytes, ends, total_patterns })
+    }
+
+    /// Rows held.
+    pub fn rows(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Every row, exactly as `disc-mine` prints them.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
     /// Renders rows `offset..offset+limit` with a minimum pattern length,
     /// in the exact `"{support}\t{pattern}\n"` byte format of `disc-mine`.
     pub fn render(&self, min_length: usize, offset: usize, limit: usize) -> Vec<u8> {
+        if min_length <= 1 {
+            let first = offset.min(self.rows());
+            let last = offset.saturating_add(limit).min(self.rows());
+            return self.bytes[self.row_start(first)..self.row_start(last)].to_vec();
+        }
         let mut out = Vec::new();
-        for (support, pattern) in self
-            .lines
-            .iter()
-            .filter(|(_, p)| min_length <= 1 || pattern_length(p) >= min_length)
+        for row in (0..self.rows())
+            .map(|i| &self.bytes[self.row_start(i)..self.ends[i]])
+            .filter(|row| pattern_length(row) >= min_length)
             .skip(offset)
             .take(limit)
         {
-            out.extend_from_slice(support.to_string().as_bytes());
-            out.push(b'\t');
-            out.extend_from_slice(pattern.as_bytes());
-            out.push(b'\n');
+            out.extend_from_slice(row);
         }
         out
+    }
+
+    /// Where row `i` starts in `bytes` (`bytes.len()` for `i == rows()`).
+    fn row_start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.ends[prev])
     }
 }
 
 /// Items in a rendered pattern = commas + itemsets. `(a,g)(b)` has one
 /// comma and two itemsets: length 3. Cheaper than re-parsing and exact for
-/// the canonical `Display` format the lines were rendered from.
-fn pattern_length(p: &str) -> usize {
-    let commas = p.matches(',').count();
-    let sets = p.matches('(').count();
-    commas + sets
+/// the canonical `Display` format the rows were rendered from; a whole
+/// row counts the same, since its support and separators hold neither.
+fn pattern_length(p: impl AsRef<[u8]>) -> usize {
+    p.as_ref().iter().filter(|&&b| b == b',' || b == b'(').count()
 }
 
 /// An LRU map from [`CacheKey`] to [`RenderedResult`], plus hit/miss
@@ -150,10 +217,7 @@ mod tests {
     }
 
     fn value() -> Arc<RenderedResult> {
-        Arc::new(RenderedResult {
-            lines: vec![(3, "(a)".into()), (2, "(a, g)(b)".into())],
-            total_patterns: 2,
-        })
+        Arc::new(RenderedResult::from_rows([("(a)", 3), ("(a, g)(b)", 2)], 2))
     }
 
     #[test]
@@ -185,5 +249,89 @@ mod tests {
         assert_eq!(pattern_length("(a)"), 1);
         assert_eq!(pattern_length("(a, g)(b)"), 3);
         assert_eq!(pattern_length("(a, b, c)"), 3);
+    }
+
+    /// The per-row representation results had before they became one
+    /// buffer, and its renderer: the reference the buffer must reproduce.
+    fn old_render(
+        lines: &[(u64, String)],
+        min_length: usize,
+        offset: usize,
+        limit: usize,
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (support, pattern) in lines
+            .iter()
+            .filter(|(_, p)| min_length <= 1 || pattern_length(p) >= min_length)
+            .skip(offset)
+            .take(limit)
+        {
+            out.extend_from_slice(format!("{support}\t{pattern}\n").as_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn buffer_renders_like_per_row_strings_in_every_mode() {
+        use disc_algo::DiscAll;
+        use disc_core::{MinSupport, SequentialMiner};
+        let db = disc_datagen::QuestConfig::paper_table11()
+            .with_ncust(50)
+            .with_nitems(30)
+            .with_pools(30, 60)
+            .with_slen(6.0)
+            .with_seed(17)
+            .generate();
+        let mined = DiscAll::default().mine(&db, MinSupport::Count(8));
+        assert!(mined.len() > 50, "workload too small to page: {}", mined.len());
+        for mode in ["all", "closed", "maximal"] {
+            let rows = match mode {
+                "closed" => mined.closed_patterns(),
+                "maximal" => mined.maximal_patterns(),
+                _ => mined.iter().collect(),
+            };
+            let lines: Vec<(u64, String)> = rows.iter().map(|(p, s)| (*s, p.to_string())).collect();
+            let result = RenderedResult::project(&mined, mode);
+            assert_eq!(result.rows(), lines.len(), "{mode}");
+            assert_eq!(result.total_patterns, mined.len());
+            let all = old_render(&lines, 1, 0, usize::MAX);
+            assert_eq!(result.as_bytes(), all.as_slice(), "{mode}");
+            let n = lines.len();
+            for min_length in 0..=4 {
+                for (offset, limit) in [
+                    (0, usize::MAX),
+                    (0, 7),
+                    (5, 13),
+                    (n.saturating_sub(1), 10),
+                    (n, 5),
+                    (n + 3, usize::MAX),
+                    (2, 0),
+                ] {
+                    assert_eq!(
+                        result.render(min_length, offset, limit),
+                        old_render(&lines, min_length, offset, limit),
+                        "{mode} min_length={min_length} offset={offset} limit={limit}"
+                    );
+                }
+            }
+            let reloaded = RenderedResult::from_tsv(all.clone()).expect("rendered rows parse");
+            assert_eq!(reloaded.as_bytes(), all.as_slice());
+            assert_eq!(reloaded.rows(), n);
+            assert_eq!(reloaded.render(3, 2, 9), result.render(3, 2, 9));
+        }
+    }
+
+    #[test]
+    fn from_tsv_refuses_malformed_rows() {
+        assert_eq!(RenderedResult::from_tsv(Vec::new()).map(|r| r.rows()), Some(0));
+        for bad in [
+            &b"3\t(a)\nx\t(b)\n"[..], // support is not a count
+            b"3\t(a)\n2 (b)\n",       // no tab
+            b"3\t(a)\n\n",            // empty row
+            b"3\t(a)\n2\t(b)",        // last row cut short
+            b"3\t(\xff)\n",           // not UTF-8
+        ] {
+            assert!(RenderedResult::from_tsv(bad.to_vec()).is_none(), "{bad:?}");
+        }
     }
 }

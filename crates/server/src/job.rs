@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn cache_hit_jobs_are_born_done() {
-        let result = Arc::new(RenderedResult { lines: vec![], total_patterns: 0 });
+        let result = Arc::new(RenderedResult::from_rows(Vec::<(String, u64)>::new(), 0));
         let job = Job::from_cache(spec(), result);
         let inner = job.inner.lock().unwrap();
         assert_eq!(inner.state, JobState::Done);

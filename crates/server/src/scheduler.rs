@@ -30,18 +30,25 @@
 //! abort at their next checkpoint, flush snapshots, and requeue. The
 //! scheduler thread then exits, leaving every unfinished job queued with a
 //! durable checkpoint — the restart path re-submits them and `Resumable`
-//! picks the snapshots up.
+//! picks the snapshots up. Last, `drain()` opens one loopback connection
+//! to the server's listener, which wakes the accept loop blocked in
+//! `accept()` so it sees the drain. A SIGTERM ([`crate::signal`]) cancels
+//! every running slice, whose tokens are children of the termination
+//! token; the scheduler loop, which wakes at least every 200 ms and after
+//! every round, then turns it into a drain.
 
 use crate::cache::{CacheKey, RenderedResult, ResultCache};
 use crate::job::{Job, JobError, JobState};
 use crate::limits::{QuotaConfig, QuotaDenial, TokenBucket};
 use crate::registry::DbEntry;
+use crate::signal;
 use disc_algo::{DiscAll, DynamicDiscAll, ParallelDiscAll, Resumable};
 use disc_core::{
-    AbortReason, CancelToken, FallbackMiner, GuardedResult, MinSupport, MineGuard, MineOutcome,
+    AbortReason, FallbackMiner, GuardedResult, MinSupport, MineGuard, MineOutcome,
     ParallelExecutor, ResourceBudget, SequentialMiner, SharedCounters,
 };
 use std::collections::HashMap;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -150,6 +157,9 @@ pub struct Scheduler {
     /// query did not re-mine" reads it.
     pub mine_invocations: AtomicU64,
     stop: AtomicBool,
+    /// The address the server's accept loop listens on while it runs;
+    /// [`Scheduler::drain`] connects to it once to wake that loop.
+    listener: Mutex<Option<SocketAddr>>,
 }
 
 impl Scheduler {
@@ -175,6 +185,7 @@ impl Scheduler {
             db_of_job: Mutex::new(HashMap::new()),
             mine_invocations: AtomicU64::new(0),
             stop: AtomicBool::new(false),
+            listener: Mutex::new(None),
         }
     }
 
@@ -280,15 +291,20 @@ impl Scheduler {
     /// queues it. Also records the tenant's submission.
     pub fn submit(&self, job: Arc<Job>, db: Arc<DbEntry>) {
         let id = job.spec.id;
-        self.tenants.lock().unwrap().entry(job.spec.tenant.clone()).or_default().jobs += 1;
         let terminal = job.inner.lock().unwrap().state.is_terminal();
-        self.jobs.lock().unwrap().insert(id, Arc::clone(&job));
-        self.db_of_job.lock().unwrap().insert(id, db);
+        self.register(job, db);
         if !terminal {
-            let mut state = self.state.lock().unwrap();
-            state.queue.push(id);
-            self.wake.notify_all();
+            self.enqueue(id);
         }
+    }
+
+    /// Registers a job and records the tenant's submission without
+    /// queueing it; [`Scheduler::enqueue`] starts it.
+    pub(crate) fn register(&self, job: Arc<Job>, db: Arc<DbEntry>) {
+        let id = job.spec.id;
+        self.tenants.lock().unwrap().entry(job.spec.tenant.clone()).or_default().jobs += 1;
+        self.jobs.lock().unwrap().insert(id, job);
+        self.db_of_job.lock().unwrap().insert(id, db);
     }
 
     /// Records a job that is already terminal and has no database entry —
@@ -329,8 +345,15 @@ impl Scheduler {
         out
     }
 
+    /// Records the bound address of the accept loop that
+    /// [`Scheduler::drain`] must wake, or clears it once that loop ended.
+    pub(crate) fn set_listener(&self, addr: Option<SocketAddr>) {
+        *self.listener.lock().unwrap() = addr;
+    }
+
     /// Requests a graceful drain: running slices are cancelled at their
-    /// next checkpoint and requeued; the scheduler loop exits once idle.
+    /// next checkpoint and requeued; the scheduler loop exits once idle,
+    /// and the server's accept loop wakes to stop admitting.
     pub fn drain(&self) {
         let mut state = self.state.lock().unwrap();
         state.draining = true;
@@ -346,6 +369,26 @@ impl Scheduler {
             }
         }
         self.wake.notify_all();
+        drop(state);
+        self.wake_accept_loop();
+    }
+
+    /// The accept loop blocks in `accept()` and checks the drain flag
+    /// after each connection, so one connection wakes it. A listener
+    /// recorded after this read sees the flag before it first blocks.
+    fn wake_accept_loop(&self) {
+        let Some(mut addr) = *self.listener.lock().unwrap() else {
+            return;
+        };
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        // A refused or timed-out poke is harmless: either the loop has
+        // already ended, or a full backlog wakes it anyway.
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
     }
 
     /// Whether a drain has been requested.
@@ -357,24 +400,26 @@ impl Scheduler {
     /// of jobs left queued (checkpointed, resumable after restart).
     pub fn run_loop(&self) -> Vec<u64> {
         loop {
+            if signal::termination_requested() && !self.is_draining() {
+                self.drain();
+            }
             let batch = {
                 let mut state = self.state.lock().unwrap();
-                loop {
-                    // Draining: never start another slice. Jobs a drain
-                    // preempted are back in the queue with durable
-                    // checkpoints — exactly what the restart path wants.
-                    if self.stop.load(Ordering::SeqCst) || state.draining {
-                        return state.queue.clone();
-                    }
-                    let batch = self.pick_batch(&mut state);
-                    if !batch.is_empty() {
-                        state.running = batch.len();
-                        break batch;
-                    }
-                    let (next, _) =
-                        self.wake.wait_timeout(state, Duration::from_millis(200)).unwrap();
-                    state = next;
+                // Draining: never start another slice. Jobs a drain
+                // preempted are back in the queue with durable
+                // checkpoints — exactly what the restart path wants.
+                if self.stop.load(Ordering::SeqCst) || state.draining {
+                    return state.queue.clone();
                 }
+                let batch = self.pick_batch(&mut state);
+                if batch.is_empty() {
+                    // Idle: sleep until a submission, a drain, or the
+                    // timeout that re-checks the SIGTERM flag.
+                    let _ = self.wake.wait_timeout(state, Duration::from_millis(200)).unwrap();
+                    continue;
+                }
+                state.running = batch.len();
+                batch
             };
 
             // One executor run per round: every picked slice mines
@@ -447,8 +492,9 @@ impl Scheduler {
             return;
         };
 
-        // Slice guard: fresh child-less token (a cancelled token cannot be
-        // un-cancelled, so preempted jobs need a new one each slice), fresh
+        // Slice guard: a fresh child of the termination token (a cancelled
+        // token cannot be un-cancelled, so preempted jobs need a new one
+        // each slice; a SIGTERM stops the slice like a drain does), fresh
         // shared counters for lock-free status reads, and an ops budget one
         // increment above the job's accumulated spend, clamped to the
         // job-wide caps.
@@ -472,7 +518,7 @@ impl Scheduler {
             }
             budget = budget.with_deadline(remaining);
         }
-        let token = CancelToken::new();
+        let token = signal::termination_token().child();
         let counters = Arc::new(SharedCounters::new());
         let guard = MineGuard::new(token.clone(), budget)
             .with_checkpoint_interval(64)
@@ -548,7 +594,7 @@ impl Scheduler {
                         inner.state = JobState::Queued;
                         inner.preemptions += 1;
                         drop(inner);
-                        self.requeue(job.spec.id);
+                        self.enqueue(job.spec.id);
                     }
                 }
                 AbortReason::BudgetExhausted => {
@@ -569,7 +615,7 @@ impl Scheduler {
                             inner.state = JobState::Queued;
                             inner.preemptions += 1;
                             drop(inner);
-                            self.requeue(job.spec.id);
+                            self.enqueue(job.spec.id);
                         }
                     }
                 }
@@ -589,14 +635,7 @@ impl Scheduler {
             }
             None => &run.result,
         };
-        let lines: Vec<(u64, String)> = match job.spec.mode.as_str() {
-            "closed" => result.closed_patterns().iter().map(|(p, s)| (*s, p.to_string())).collect(),
-            "maximal" => {
-                result.maximal_patterns().iter().map(|(p, s)| (*s, p.to_string())).collect()
-            }
-            _ => result.iter().map(|(p, s)| (s, p.to_string())).collect(),
-        };
-        let rendered = Arc::new(RenderedResult { lines, total_patterns: result.len() });
+        let rendered = Arc::new(RenderedResult::project(result, &job.spec.mode));
         self.persist_result(job.spec.id, &rendered);
         if !job.spec.no_cache {
             self.cache.lock().unwrap().insert(
@@ -626,13 +665,14 @@ impl Scheduler {
         }
     }
 
-    fn requeue(&self, id: u64) {
+    /// Queues a registered job for its next slice.
+    pub(crate) fn enqueue(&self, id: u64) {
         let mut state = self.state.lock().unwrap();
         state.queue.push(id);
         self.wake.notify_all();
     }
 
-    /// Writes a finished job's rendered lines next to its checkpoint
+    /// Writes a finished job's rendered rows next to its checkpoint
     /// (atomic tmp + rename), so a restarted server can serve results for
     /// jobs that completed before the restart. Failure is logged, not
     /// fatal — the in-memory result still serves this process.
@@ -643,7 +683,7 @@ impl Scheduler {
         let write = (|| -> std::io::Result<()> {
             std::fs::create_dir_all(&dir)?;
             let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, &result.render(1, 0, usize::MAX))?;
+            std::io::Write::write_all(&mut f, result.as_bytes())?;
             f.sync_all()?;
             std::fs::rename(&tmp, &path)
         })();

@@ -34,8 +34,16 @@ fn start(
     data_dir: &Path,
     slice_ops: u64,
 ) -> (Server, SocketAddr, std::thread::JoinHandle<Vec<u64>>) {
+    start_on("127.0.0.1:0", data_dir, slice_ops)
+}
+
+fn start_on(
+    bind: &str,
+    data_dir: &Path,
+    slice_ops: u64,
+) -> (Server, SocketAddr, std::thread::JoinHandle<Vec<u64>>) {
     let cfg = ServerConfig {
-        addr: "127.0.0.1:0".into(),
+        addr: bind.into(),
         data_dir: data_dir.to_path_buf(),
         scheduler: SchedulerConfig { threads: 2, slice_ops, ..SchedulerConfig::default() },
         cache_entries: 16,
@@ -83,6 +91,17 @@ fn post(addr: SocketAddr, target: &str, body: &[u8]) -> (u16, String) {
 fn drain(addr: SocketAddr, handle: std::thread::JoinHandle<Vec<u64>>) -> Vec<u64> {
     let (status, _) = post(addr, "/admin/drain", b"");
     assert_eq!(status, 200);
+    handle.join().expect("server thread")
+}
+
+/// Waits for the server thread, failing instead of hanging when
+/// `Server::run` does not return within `limit`.
+fn join_within<T>(handle: std::thread::JoinHandle<T>, limit: Duration) -> T {
+    let deadline = Instant::now() + limit;
+    while !handle.is_finished() {
+        assert!(Instant::now() < deadline, "Server::run did not return within {limit:?}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     handle.join().expect("server thread")
 }
 
@@ -363,5 +382,33 @@ fn drain_checkpoints_and_a_second_server_resumes_bit_identically() {
     assert_eq!(field(&repeat, "cached"), "true");
 
     drain(addr2, handle2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_drain_path_returns_run_with_no_other_connection() {
+    // POST /admin/drain is the last connection any client makes.
+    let dir = temp_dir("drainroute");
+    let (_server, addr, handle) = start(&dir, 1_000_000);
+    assert_eq!(post(addr, "/admin/drain", b"").0, 200);
+    assert!(join_within(handle, Duration::from_secs(10)).is_empty());
+
+    // An embedder's drain makes no request at all. The server listens on
+    // the unspecified address, which the wake-up maps to loopback.
+    let dir = temp_dir("drainembedded");
+    let (server, _, handle) = start_on("0.0.0.0:0", &dir, 1_000_000);
+    server.scheduler().drain();
+    assert!(join_within(handle, Duration::from_secs(10)).is_empty());
+
+    // A drain before run() binds: run() returns without blocking once.
+    let server = Server::new(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        data_dir: dir.clone(),
+        ..ServerConfig::default()
+    });
+    server.scheduler().drain();
+    let runner = server.clone();
+    let handle = std::thread::spawn(move || runner.run().expect("server run"));
+    assert!(join_within(handle, Duration::from_secs(10)).is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
