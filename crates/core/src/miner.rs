@@ -12,6 +12,15 @@ use crate::support::MinSupport;
 /// SPAM, and the brute-force reference — implements this trait and returns
 /// the *complete* set of frequent sequences with *exact* support counts, so
 /// results are directly comparable.
+///
+/// Two methods mine a nested [`SequenceDatabase`]: [`SequentialMiner::mine`]
+/// and its guarded form [`SequentialMiner::mine_guarded`]. Thread count is a
+/// property of the miner, not of the call: the parallel DISC-all miner is
+/// built with its worker count and mines through these same two methods.
+/// The DISC miners also implement `disc_algo::Checkpointable`, whose flat
+/// core mines a `FlatDb` (heap or memory-mapped) with an optional
+/// checkpoint sink; their two methods here flatten the database once and
+/// call that core.
 pub trait SequentialMiner {
     /// A short, stable name for reports ("DISC-all", "PrefixSpan", …).
     fn name(&self) -> &str;
@@ -41,23 +50,6 @@ pub trait SequentialMiner {
             Ok(())
         })
     }
-
-    /// Mines with up to `threads` worker threads.
-    ///
-    /// The contract is strict: the result must be **identical** to
-    /// [`SequentialMiner::mine`] — same patterns, same exact supports — at
-    /// every thread count. The default implementation ignores `threads` and
-    /// mines sequentially, which satisfies the contract trivially; miners
-    /// with a partition-parallel path (DISC-all) override it.
-    fn mine_parallel(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> MiningResult {
-        let _ = threads;
-        self.mine(db, min_support)
-    }
 }
 
 impl<M: SequentialMiner + ?Sized> SequentialMiner for &M {
@@ -75,14 +67,6 @@ impl<M: SequentialMiner + ?Sized> SequentialMiner for &M {
     ) -> GuardedResult {
         (**self).mine_guarded(db, min_support, guard)
     }
-    fn mine_parallel(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> MiningResult {
-        (**self).mine_parallel(db, min_support, threads)
-    }
 }
 
 impl<M: SequentialMiner + ?Sized> SequentialMiner for Box<M> {
@@ -99,13 +83,5 @@ impl<M: SequentialMiner + ?Sized> SequentialMiner for Box<M> {
         guard: &MineGuard,
     ) -> GuardedResult {
         (**self).mine_guarded(db, min_support, guard)
-    }
-    fn mine_parallel(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> MiningResult {
-        (**self).mine_parallel(db, min_support, threads)
     }
 }

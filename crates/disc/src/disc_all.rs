@@ -6,7 +6,8 @@ use crate::discovery::discover_frequent_k_into;
 use crate::partition::{
     ext_rank, group_by_min_item_guarded, reduce_into, BucketQueue, Itineraries, RowExtensions,
 };
-use crate::resume::CheckpointSink;
+use crate::resume::{mine_database, CheckpointSink, Checkpointable};
+use disc_core::checkpoint::MINER_DISC_ALL;
 use disc_core::{
     run_guarded, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
     MineGuard, MiningResult, SeqView, Sequence, SequenceDatabase, SequentialMiner,
@@ -69,9 +70,8 @@ impl SequentialMiner for DiscAll {
     }
 
     fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
         let mut result = MiningResult::new();
-        self.mine_inner(db, min_support, &guard, &mut result, None)
+        mine_database(self, db, min_support, &MineGuard::unlimited(), &mut result, None)
             .expect("unlimited guard never aborts");
         result
     }
@@ -82,69 +82,18 @@ impl SequentialMiner for DiscAll {
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        run_guarded(guard, |result| self.mine_inner(db, min_support, guard, result, None))
-    }
-
-    fn mine_parallel(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> MiningResult {
-        crate::parallel::ParallelDiscAll::with_threads(threads)
-            .with_config(self.config)
-            .mine(db, min_support)
+        run_guarded(guard, |result| mine_database(self, db, min_support, guard, result, None))
     }
 }
 
-impl DiscAll {
-    /// Mines a [`FlatDb`] directly — the entry point for columns mapped
-    /// zero-copy from a `DSCFD1` flat file, where no nested
-    /// [`SequenceDatabase`] ever exists. Identical output to
-    /// [`SequentialMiner::mine`] on the database the columns came from
-    /// (item ids as stored: a mapped file yields compact-id patterns until
-    /// the caller restores them through the file's dictionary).
-    pub fn mine_flat(&self, flat: &FlatDb, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        let mut result = MiningResult::new();
-        self.mine_flat_inner(flat, min_support.resolve(flat.len()), &guard, &mut result, None)
-            .expect("unlimited guard never aborts");
-        result
+impl Checkpointable for DiscAll {
+    fn provenance(&self) -> (u8, bool, u32) {
+        (MINER_DISC_ALL, self.config.bi_level, 1)
     }
 
-    /// [`DiscAll::mine_flat`] under a [`MineGuard`].
-    pub fn mine_flat_guarded(
-        &self,
-        flat: &FlatDb,
-        min_support: MinSupport,
-        guard: &MineGuard,
-    ) -> GuardedResult {
-        let delta = min_support.resolve(flat.len());
-        run_guarded(guard, |result| self.mine_flat_inner(flat, delta, guard, result, None))
-    }
-
-    /// The cooperative core behind both entry points: checkpoints on every
-    /// partition-walk step and every per-member scan, notes every pattern.
-    /// With a [`CheckpointSink`], snapshots the boundary-consistent state
-    /// after the frequent 1-sequences and after every completed first-level
-    /// partition, and skips partitions a resumed snapshot marks done (their
-    /// reassignment chains still run — later partitions need them).
-    pub(crate) fn mine_inner(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        guard: &MineGuard,
-        result: &mut MiningResult,
-        sink: Option<&mut CheckpointSink<'_>>,
-    ) -> Result<(), AbortReason> {
-        // Flatten once; every hot scan below walks the contiguous arena.
-        let flat = FlatDb::from_database(db);
-        self.mine_flat_inner(&flat, min_support.resolve(db.len()), guard, result, sink)
-    }
-
-    /// [`DiscAll::mine_inner`] over the flat columns themselves — heap or
-    /// mapped, the kernels cannot tell.
-    pub(crate) fn mine_flat_inner(
+    /// The reassignment chains of partitions a resumed snapshot marks done
+    /// still run: later partitions need them.
+    fn mine_core(
         &self,
         flat: &FlatDb,
         delta: u64,
@@ -197,6 +146,24 @@ impl DiscAll {
             // Step 2.2: reassignment chains.
             |row, key| itineraries.next_after(row, Item(key as u32)).map(|x| x.id() as usize),
         )
+    }
+}
+
+impl DiscAll {
+    /// Mines a [`FlatDb`] under a [`MineGuard`]: [`Checkpointable::mine_core`]
+    /// at `min_support` resolved against `flat`, inside a panic boundary.
+    /// Identical patterns to [`SequentialMiner::mine_guarded`] on the
+    /// database the columns came from, in the item ids as stored (a mapped
+    /// `DSCFD1` file yields compact-id patterns until the caller restores
+    /// them through the file's dictionary).
+    pub fn mine_flat_guarded(
+        &self,
+        flat: &FlatDb,
+        min_support: MinSupport,
+        guard: &MineGuard,
+    ) -> GuardedResult {
+        let delta = min_support.resolve(flat.len());
+        run_guarded(guard, |result| self.mine_core(flat, delta, guard, result, None))
     }
 
     /// Steps 2.1.1–2.1.3 for one `<(λ)>`-partition.

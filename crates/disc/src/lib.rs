@@ -31,9 +31,17 @@
 //! | [`disc_all`] | the DISC-all algorithm (Figure 2) |
 //! | [`parallel`] | DISC-all with first-level partitions sharded across a thread pool |
 //! | [`dynamic`] | the Dynamic DISC-all algorithm (Appendix) |
-//! | [`resume`] | durable checkpoint/resume at first-level partition boundaries |
+//! | [`resume`] | the [`Checkpointable`] mining core every DISC miner implements; durable checkpoint/resume at first-level partition boundaries |
 //! | [`stats`] | the NRR metric of §4.2 (Tables 12 and 14) |
 //! | [`weighted`] | the §5 future-work extension: weighted sequence mining on the shared discovery loop |
+//!
+//! ## One mining core, one name table
+//!
+//! [`DiscAll`], [`DynamicDiscAll`] and [`ParallelDiscAll`] each implement
+//! [`Checkpointable::mine_core`], the partition walk over a flat database
+//! at a resolved δ. Their [`SequentialMiner`](disc_core::SequentialMiner)
+//! methods, [`Resumable`] runs and memory-mapped runs all call it.
+//! [`miner_by_name`] picks one of the three by name.
 //!
 //! ## Quick example
 //!
@@ -75,3 +83,22 @@ pub use parallel::ParallelDiscAll;
 pub use resume::{CheckpointSink, CheckpointStats, Checkpointable, Resumable, CHECKPOINT_FILE};
 pub use stats::nrr_by_level;
 pub use weighted::{WeightedDatabase, WeightedDisc};
+
+/// The DISC miners by name: `"disc-all"`, `"dynamic"` and `"parallel"`,
+/// each with its default settings. `threads` sizes the parallel miner's
+/// pool (`None`: [`std::thread::available_parallelism`]); the sequential
+/// miners ignore it. `None` for any other name.
+///
+/// The one name table of the workspace: the `disc-mine` CLI (heap,
+/// checkpointed, resumed and memory-mapped runs) and the job server pick
+/// their miner here.
+pub fn miner_by_name(name: &str, threads: Option<usize>) -> Option<Box<dyn Checkpointable>> {
+    Some(match name {
+        "disc-all" => Box::new(DiscAll::default()),
+        "dynamic" => Box::new(DynamicDiscAll::default()),
+        "parallel" => {
+            Box::new(threads.map_or_else(ParallelDiscAll::default, ParallelDiscAll::with_threads))
+        }
+        _ => return None,
+    })
+}

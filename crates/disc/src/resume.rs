@@ -37,7 +37,7 @@ use disc_core::checkpoint::{
     SnapshotProgress, SnapshotView,
 };
 use disc_core::{
-    run_guarded, AbortReason, GuardedResult, Item, MinSupport, MineGuard, MiningResult,
+    run_guarded, AbortReason, FlatDb, GuardedResult, Item, MinSupport, MineGuard, MiningResult,
     SequenceDatabase, SequentialMiner,
 };
 use std::cell::Cell;
@@ -227,73 +227,67 @@ impl<'g> CheckpointSink<'g> {
     }
 }
 
-/// A miner that can run with a [`CheckpointSink`] riding along. Implemented
-/// by [`DiscAll`](crate::DiscAll), [`DynamicDiscAll`](crate::DynamicDiscAll)
-/// and [`ParallelDiscAll`](crate::ParallelDiscAll).
+/// A DISC miner: [`DiscAll`](crate::DiscAll),
+/// [`DynamicDiscAll`](crate::DynamicDiscAll) or
+/// [`ParallelDiscAll`](crate::ParallelDiscAll), usually picked by name
+/// through [`miner_by_name`](crate::miner_by_name).
+///
+/// [`Checkpointable::mine_core`] is the one mining method: it walks the
+/// partitions of a [`FlatDb`] (heap or memory-mapped, the kernels cannot
+/// tell) at a resolved δ. Every other entry point reaches it: the
+/// [`SequentialMiner`] methods flatten a [`SequenceDatabase`] once and call
+/// it, and [`Resumable`] calls it with a [`CheckpointSink`] riding along.
+/// The trait is object safe, so callers can hold a `Box<dyn Checkpointable>`.
 pub trait Checkpointable: SequentialMiner {
     /// `(miner code, bi_level, threads)` recorded in snapshot headers.
     fn provenance(&self) -> (u8, bool, u32);
 
-    /// The cooperative mining core with boundary hooks into `sink`.
-    fn mine_with_sink(
+    /// Mines every frequent sequence of `flat` at support `delta` into
+    /// `result`: checkpoints the guard on every partition-walk step and
+    /// every per-member scan, and notes every pattern. With a `sink`,
+    /// snapshots the boundary-consistent state after the frequent
+    /// 1-sequences and after every completed first-level partition, and
+    /// skips the partitions a resumed snapshot marks done.
+    fn mine_core(
         &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
+        flat: &FlatDb,
+        delta: u64,
         guard: &MineGuard,
         result: &mut MiningResult,
-        sink: &mut CheckpointSink<'_>,
+        sink: Option<&mut CheckpointSink<'_>>,
     ) -> Result<(), AbortReason>;
 }
 
-impl Checkpointable for crate::DiscAll {
+impl<M: Checkpointable + ?Sized> Checkpointable for Box<M> {
     fn provenance(&self) -> (u8, bool, u32) {
-        (checkpoint::MINER_DISC_ALL, self.config.bi_level, 1)
+        (**self).provenance()
     }
 
-    fn mine_with_sink(
+    fn mine_core(
         &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
+        flat: &FlatDb,
+        delta: u64,
         guard: &MineGuard,
         result: &mut MiningResult,
-        sink: &mut CheckpointSink<'_>,
+        sink: Option<&mut CheckpointSink<'_>>,
     ) -> Result<(), AbortReason> {
-        self.mine_inner(db, min_support, guard, result, Some(sink))
+        (**self).mine_core(flat, delta, guard, result, sink)
     }
 }
 
-impl Checkpointable for crate::DynamicDiscAll {
-    fn provenance(&self) -> (u8, bool, u32) {
-        (checkpoint::MINER_DYNAMIC, self.bi_level, 1)
-    }
-
-    fn mine_with_sink(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        guard: &MineGuard,
-        result: &mut MiningResult,
-        sink: &mut CheckpointSink<'_>,
-    ) -> Result<(), AbortReason> {
-        self.mine_inner(db, min_support, guard, result, Some(sink))
-    }
-}
-
-impl Checkpointable for crate::ParallelDiscAll {
-    fn provenance(&self) -> (u8, bool, u32) {
-        (checkpoint::MINER_PARALLEL, self.config.bi_level, self.threads() as u32)
-    }
-
-    fn mine_with_sink(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        guard: &MineGuard,
-        result: &mut MiningResult,
-        sink: &mut CheckpointSink<'_>,
-    ) -> Result<(), AbortReason> {
-        self.mine_inner(db, min_support, guard, result, Some(sink))
-    }
+/// Flattens `db` once and runs `miner`'s core over it at `min_support`
+/// resolved against `db`: the shared body of the DISC miners'
+/// [`SequentialMiner`] methods and of [`Resumable`] runs.
+pub(crate) fn mine_database<M: Checkpointable + ?Sized>(
+    miner: &M,
+    db: &SequenceDatabase,
+    min_support: MinSupport,
+    guard: &MineGuard,
+    result: &mut MiningResult,
+    sink: Option<&mut CheckpointSink<'_>>,
+) -> Result<(), AbortReason> {
+    let flat = FlatDb::from_database(db);
+    miner.mine_core(&flat, min_support.resolve(db.len()), guard, result, sink)
 }
 
 /// A checkpointing wrapper around a [`Checkpointable`] miner.
@@ -305,6 +299,10 @@ impl Checkpointable for crate::ParallelDiscAll {
 /// snapshot is ignored (mining starts fresh and atomically replaces it);
 /// the explicit [`Resumable::resume_from`] entry point instead surfaces the
 /// typed rejection.
+///
+/// `M` is a concrete miner (`Resumable::new(DiscAll::default(), dir)`) or
+/// the `Box<dyn Checkpointable>` that [`miner_by_name`](crate::miner_by_name)
+/// returns.
 pub struct Resumable<M> {
     miner: M,
     dir: PathBuf,
@@ -337,11 +335,6 @@ impl<M: Checkpointable> Resumable<M> {
     /// The snapshot file this wrapper reads and writes.
     pub fn checkpoint_path(&self) -> PathBuf {
         self.dir.join(CHECKPOINT_FILE)
-    }
-
-    /// The wrapped miner.
-    pub fn inner(&self) -> &M {
-        &self.miner
     }
 
     /// Write-side counters of the most recent run.
@@ -409,7 +402,7 @@ impl<M: Checkpointable> Resumable<M> {
                     result.insert(pattern.clone(), *support);
                 }
             }
-            let mined = self.miner.mine_with_sink(db, min_support, guard, result, sink_ref);
+            let mined = mine_database(&self.miner, db, min_support, guard, result, Some(sink_ref));
             // Cooperative abort: make the freshest state durable so a later
             // resume (or a fallback stage) picks it up. Completion: make the
             // final all-done snapshot durable even when `every` skipped it.

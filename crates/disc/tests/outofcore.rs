@@ -1,14 +1,14 @@
 //! Out-of-core differential tests: the heap path (store view → nested
 //! database → miner) and the mmap path (store's `store.dscfd` mirror →
-//! zero-copy [`FlatDb`] → `mine_flat` → dictionary restore) must agree
+//! zero-copy [`FlatDb`] → the miner's flat core → dictionary restore) must agree
 //! bit-for-bit on the acked prefix, for every miner, across thread counts
 //! and support thresholds — including after further appends make the mirror
 //! stale (it then still represents exactly the compacted prefix, and the
 //! fingerprint mismatch is detectable).
 
-use disc_algo::{DiscAll, DynamicDiscAll, ParallelDiscAll};
+use disc_algo::{miner_by_name, Checkpointable};
 use disc_core::{
-    open_flat_file, peek_flat_file_fingerprint, CustomerId, MinSupport, MiningResult,
+    open_flat_file, peek_flat_file_fingerprint, CustomerId, MinSupport, MineGuard, MiningResult,
     SequenceDatabase, SequenceStore, SequentialMiner, StoreConfig, Verify,
 };
 use std::fs;
@@ -47,36 +47,19 @@ fn assert_paths_agree(flat_path: &std::path::Path, db: &SequenceDatabase, minsup
     #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
     assert!(contents.is_mapped(), "mirror must load zero-copy on this platform");
 
-    let runs: Vec<(&str, MiningResult, MiningResult)> = vec![
-        (
-            "disc-all",
-            DiscAll::default().mine(db, minsup),
-            contents.mapping.restore_result(&DiscAll::default().mine_flat(&contents.flat, minsup)),
-        ),
-        (
-            "dynamic",
-            DynamicDiscAll::default().mine(db, minsup),
-            contents
-                .mapping
-                .restore_result(&DynamicDiscAll::default().mine_flat(&contents.flat, minsup)),
-        ),
-        (
-            "parallel x2",
-            ParallelDiscAll::with_threads(2).mine(db, minsup),
-            contents.mapping.restore_result(
-                &ParallelDiscAll::with_threads(2).mine_flat(&contents.flat, minsup),
-            ),
-        ),
-        (
-            "parallel x4",
-            ParallelDiscAll::with_threads(4).mine(db, minsup),
-            contents.mapping.restore_result(
-                &ParallelDiscAll::with_threads(4).mine_flat(&contents.flat, minsup),
-            ),
-        ),
-    ];
-    for (name, heap, mapped) in &runs {
-        let diff = mapped.diff(heap);
+    let runs =
+        [("disc-all", None), ("dynamic", None), ("parallel", Some(2)), ("parallel", Some(4))];
+    for (name, threads) in runs {
+        let miner = miner_by_name(name, threads).expect("a DISC miner");
+        let heap = miner.mine(db, minsup);
+        let mut compact = MiningResult::new();
+        let delta = minsup.resolve(contents.flat.len());
+        miner
+            .mine_core(&contents.flat, delta, &MineGuard::unlimited(), &mut compact, None)
+            .unwrap();
+        let mapped = contents.mapping.restore_result(&compact);
+        let name = format!("{name} x{}", threads.unwrap_or(1));
+        let diff = mapped.diff(&heap);
         assert!(
             diff.is_empty(),
             "{name} @ {minsup:?}: mapped result diverges from heap ({} lines):\n{}",

@@ -42,7 +42,7 @@ use crate::job::{Job, JobError, JobState};
 use crate::limits::{QuotaConfig, QuotaDenial, TokenBucket};
 use crate::registry::DbEntry;
 use crate::signal;
-use disc_algo::{DiscAll, DynamicDiscAll, ParallelDiscAll, Resumable};
+use disc_algo::{DiscAll, Resumable};
 use disc_core::{
     AbortReason, FallbackMiner, GuardedResult, MinSupport, MineGuard, MineOutcome,
     ParallelExecutor, ResourceBudget, SequentialMiner, SharedCounters,
@@ -707,35 +707,29 @@ fn mine_slice(
     minsup: MinSupport,
     guard: &MineGuard,
 ) -> GuardedResult {
-    match algo {
-        "dynamic" => Resumable::new(DynamicDiscAll::default(), dir)
-            .with_every(every)
-            .mine_guarded(db, minsup, guard),
-        "parallel" => Resumable::new(ParallelDiscAll::default(), dir)
-            .with_every(every)
-            .mine_guarded(db, minsup, guard),
-        "auto" => {
-            // Dynamic first (fastest in the benches), falling back to plain
-            // DISC-all on a panic. Budget exhaustion also advances the
-            // chain, but the second stage's preflight check aborts
-            // immediately on the already-spent shared counters, so a
-            // preempted auto job costs one cheap extra stage probe at most.
-            let chain = FallbackMiner::new(vec![
-                Box::new(Resumable::new(DynamicDiscAll::default(), dir).with_every(every)),
-                Box::new(Resumable::new(DiscAll::default(), dir).with_every(every)),
-            ]);
-            chain.mine_guarded(db, minsup, guard)
-        }
-        // "disc-all" plus anything the API validation let through.
-        _ => Resumable::new(DiscAll::default(), dir)
-            .with_every(every)
-            .mine_guarded(db, minsup, guard),
+    let resumable = |name: &str| -> Box<dyn SequentialMiner> {
+        // Anything the API validation let through mines with DISC-all.
+        let miner =
+            disc_algo::miner_by_name(name, None).unwrap_or_else(|| Box::new(DiscAll::default()));
+        Box::new(Resumable::new(miner, dir).with_every(every))
+    };
+    if algo == "auto" {
+        // Dynamic first (fastest in the benches), falling back to plain
+        // DISC-all on a panic. Budget exhaustion also advances the chain,
+        // but the second stage's preflight check aborts immediately on the
+        // already-spent shared counters, so a preempted auto job costs one
+        // cheap extra stage probe at most.
+        FallbackMiner::new(vec![resumable("dynamic"), resumable("disc-all")])
+            .mine_guarded(db, minsup, guard)
+    } else {
+        resumable(algo).mine_guarded(db, minsup, guard)
     }
 }
 
-/// The algorithms the server accepts.
+/// The algorithms the server accepts: the DISC name table's, plus `auto`.
 pub fn valid_algo(algo: &str) -> bool {
-    matches!(algo, "disc-all" | "dynamic" | "parallel" | "auto")
+    // `Some(1)`: the name probe need not query the machine's CPU count.
+    algo == "auto" || disc_algo::miner_by_name(algo, Some(1)).is_some()
 }
 
 /// The result projections the server accepts.

@@ -37,6 +37,7 @@ use std::process::exit;
 /// `EX_TEMPFAIL`: the sysexits.h convention for "try again later".
 const EXIT_TRANSIENT: i32 = 75;
 
+/// The mining flags of `disc-mine <file>` and `disc-mine store`.
 struct Args {
     path: String,
     minsup: MinSupport,
@@ -47,6 +48,74 @@ struct Args {
     threads: Option<usize>,
     checkpoint_dir: Option<String>,
     resume: Option<String>,
+}
+
+impl Default for Args {
+    fn default() -> Args {
+        Args {
+            path: String::new(),
+            minsup: MinSupport::Fraction(0.01),
+            algo: "disc-all".into(),
+            min_length: 1,
+            max_patterns: usize::MAX,
+            stats: false,
+            threads: None,
+            checkpoint_dir: None,
+            resume: None,
+        }
+    }
+}
+
+impl Args {
+    /// Applies `arg` if it is one of the mining flags both `disc-mine
+    /// <file>` and `disc-mine store` accept, taking its value from `rest`;
+    /// false for any other argument. A missing or malformed value calls
+    /// `usage`.
+    fn parse_mining_flag(
+        &mut self,
+        arg: &str,
+        rest: &mut impl Iterator<Item = String>,
+        usage: fn() -> !,
+    ) -> bool {
+        match arg {
+            "--minsup" => {
+                let v: f64 = rest.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
+                self.minsup = MinSupport::Fraction(v);
+            }
+            "--delta" => {
+                let v: u64 = rest.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
+                self.minsup = MinSupport::Count(v);
+            }
+            "--algo" => self.algo = rest.next().unwrap_or_else(|| usage()),
+            "--min-length" => {
+                self.min_length =
+                    rest.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
+            }
+            "--max-patterns" => {
+                self.max_patterns =
+                    rest.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
+            }
+            "--stats" => self.stats = true,
+            "--threads" => {
+                let v: usize = rest.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
+                if v == 0 {
+                    eprintln!("--threads must be at least 1");
+                    usage();
+                }
+                self.threads = Some(v);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// `--threads` sizes the parallel miner's pool and nothing else.
+    fn check_threads(&self, usage: fn() -> !) {
+        if self.threads.is_some() && self.algo != "parallel" {
+            eprintln!("--threads requires --algo parallel");
+            usage();
+        }
+    }
 }
 
 fn usage() -> ! {
@@ -70,45 +139,12 @@ fn usage() -> ! {
 
 fn parse_args(argv: Vec<String>) -> Args {
     let mut args = argv.into_iter();
-    let mut out = Args {
-        path: String::new(),
-        minsup: MinSupport::Fraction(0.01),
-        algo: "disc-all".into(),
-        min_length: 1,
-        max_patterns: usize::MAX,
-        stats: false,
-        threads: None,
-        checkpoint_dir: None,
-        resume: None,
-    };
+    let mut out = Args::default();
     while let Some(arg) = args.next() {
+        if out.parse_mining_flag(&arg, &mut args, usage) {
+            continue;
+        }
         match arg.as_str() {
-            "--minsup" => {
-                let v: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-                out.minsup = MinSupport::Fraction(v);
-            }
-            "--delta" => {
-                let v: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-                out.minsup = MinSupport::Count(v);
-            }
-            "--algo" => out.algo = args.next().unwrap_or_else(|| usage()),
-            "--min-length" => {
-                out.min_length =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--max-patterns" => {
-                out.max_patterns =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--stats" => out.stats = true,
-            "--threads" => {
-                let v: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-                if v == 0 {
-                    eprintln!("--threads must be at least 1");
-                    usage();
-                }
-                out.threads = Some(v);
-            }
             "--checkpoint-dir" => {
                 out.checkpoint_dir = Some(args.next().unwrap_or_else(|| usage()));
             }
@@ -121,10 +157,7 @@ fn parse_args(argv: Vec<String>) -> Args {
     if out.path.is_empty() {
         usage();
     }
-    if out.threads.is_some() && out.algo != "parallel" {
-        eprintln!("--threads requires --algo parallel");
-        usage();
-    }
+    out.check_threads(usage);
     if out.checkpoint_dir.is_some() && out.resume.is_some() {
         eprintln!("--checkpoint-dir and --resume are mutually exclusive; --resume already writes further snapshots next to the resumed file");
         usage();
@@ -132,89 +165,61 @@ fn parse_args(argv: Vec<String>) -> Args {
     out
 }
 
-/// A parallel miner honoring `--threads` (pool sized by
-/// `available_parallelism` when the flag is absent).
-fn parallel_miner(threads: Option<usize>) -> ParallelDiscAll {
-    match threads {
-        Some(n) => ParallelDiscAll::with_threads(n),
-        None => ParallelDiscAll::default(),
-    }
-}
-
-fn miner_by_name(
-    name: &str,
-    threads: Option<usize>,
-    checkpoint_dir: Option<&str>,
-) -> Box<dyn SequentialMiner> {
-    // With --checkpoint-dir the DISC miners are wrapped in `Resumable`:
-    // durable snapshots at partition boundaries, auto-resuming a valid one.
-    if let Some(dir) = checkpoint_dir {
-        return match name {
-            "disc-all" => Box::new(Resumable::new(DiscAll::default(), dir)),
-            "dynamic" => Box::new(Resumable::new(DynamicDiscAll::default(), dir)),
-            "parallel" => Box::new(Resumable::new(parallel_miner(threads), dir)),
-            other => {
-                eprintln!("--checkpoint-dir supports disc-all, dynamic, parallel; got {other:?}");
-                usage();
-            }
-        };
-    }
-    match name {
-        "disc-all" => Box::new(DiscAll::default()),
-        "dynamic" => Box::new(DynamicDiscAll::default()),
-        "parallel" => Box::new(parallel_miner(threads)),
+/// The heap-only miners: the baselines and the brute-force reference. The
+/// DISC miners come from [`disc_miner::algo::miner_by_name`].
+fn baseline_by_name(name: &str) -> Option<Box<dyn SequentialMiner>> {
+    Some(match name {
         "prefixspan" => Box::new(PrefixSpan::default()),
         "pseudo" => Box::new(PseudoPrefixSpan::default()),
         "gsp" => Box::new(Gsp::default()),
         "spade" => Box::new(Spade::default()),
         "spam" => Box::new(Spam::default()),
         "brute" => Box::new(BruteForce::default()),
-        other => {
-            eprintln!("unknown algorithm {other:?}");
-            usage();
-        }
-    }
+        _ => return None,
+    })
 }
 
-/// Continues from an explicit snapshot file; typed rejection (corrupted,
-/// truncated, stale-version, wrong database, wrong δ) exits with code 1.
-/// Further snapshots are written next to the file being resumed.
-fn run_resume(
-    algo: &str,
-    threads: Option<usize>,
-    file: &str,
-    db: &SequenceDatabase,
-    minsup: MinSupport,
-) -> (String, MiningResult) {
-    fn go<M: Checkpointable>(
-        miner: M,
-        file: &str,
-        db: &SequenceDatabase,
-        minsup: MinSupport,
-    ) -> (String, MiningResult) {
+/// Mines `db` with the miner `args` names. A DISC miner runs plain, under
+/// `--checkpoint-dir` (durable snapshots at partition boundaries,
+/// auto-resuming a valid one) or from an explicit `--resume` file, whose
+/// typed rejection (corrupted, truncated, stale-version, wrong database,
+/// wrong δ) exits with code 1; further snapshots are written next to that
+/// file. A baseline runs plain only.
+fn mine_heap(db: &SequenceDatabase, args: &Args) -> (String, MiningResult) {
+    let Some(miner) = disc_miner::algo::miner_by_name(&args.algo, args.threads) else {
+        if args.checkpoint_dir.is_some() || args.resume.is_some() {
+            eprintln!(
+                "--checkpoint-dir and --resume support disc-all, dynamic, parallel; got {:?}",
+                args.algo
+            );
+            usage();
+        }
+        let Some(miner) = baseline_by_name(&args.algo) else {
+            eprintln!("unknown algorithm {:?}", args.algo);
+            usage();
+        };
+        return (miner.name().to_string(), miner.mine(db, args.minsup));
+    };
+    if let Some(file) = &args.resume {
         let path = Path::new(file);
         let dir = match path.parent() {
             Some(d) if !d.as_os_str().is_empty() => d,
             _ => Path::new("."),
         };
         let wrapped = Resumable::new(miner, dir);
-        match wrapped.resume_from(path, db, minsup, &MineGuard::unlimited()) {
+        return match wrapped.resume_from(path, db, args.minsup, &MineGuard::unlimited()) {
             Ok(run) => (wrapped.name().to_string(), run.result),
             Err(e) => {
                 eprintln!("cannot resume from {file}: {e}");
                 exit(1);
             }
-        }
+        };
     }
-    match algo {
-        "disc-all" => go(DiscAll::default(), file, db, minsup),
-        "dynamic" => go(DynamicDiscAll::default(), file, db, minsup),
-        "parallel" => go(parallel_miner(threads), file, db, minsup),
-        other => {
-            eprintln!("--resume supports disc-all, dynamic, parallel; got {other:?}");
-            usage();
-        }
+    if let Some(dir) = &args.checkpoint_dir {
+        let wrapped = Resumable::new(miner, dir);
+        return (wrapped.name().to_string(), wrapped.mine(db, args.minsup));
     }
+    (miner.name().to_string(), miner.mine(db, args.minsup))
 }
 
 /// Loads a database file, accepting both formats disc-gen writes: the text
@@ -272,15 +277,6 @@ fn run_mining(db: &SequenceDatabase, args: &Args) {
         );
     }
     let start = std::time::Instant::now();
-    let mine = |db: &SequenceDatabase| -> (String, MiningResult) {
-        if let Some(file) = &args.resume {
-            run_resume(&args.algo, args.threads, file, db, args.minsup)
-        } else {
-            let miner = miner_by_name(&args.algo, args.threads, args.checkpoint_dir.as_deref());
-            let result = miner.mine(db, args.minsup);
-            (miner.name().to_string(), result)
-        }
-    };
     // Sparse item-id spaces would make the miners' dense per-item arrays
     // huge; compact ids transparently and translate the patterns back.
     // Analyze first: the common dense case then never copies the database.
@@ -293,10 +289,10 @@ fn run_mining(db: &SequenceDatabase, args: &Args) {
             eprintln!("# compacted {} distinct items onto 0..{}", mapping.len(), mapping.len());
         }
         let compacted = mapping.remap_database(db);
-        let (name, result) = mine(&compacted);
+        let (name, result) = mine_heap(&compacted, args);
         (name, mapping.restore_result(&result))
     } else {
-        mine(db)
+        mine_heap(db, args)
     };
     if args.stats {
         eprintln!(
@@ -351,25 +347,28 @@ fn run_mining_flat(contents: &disc_miner::core::FlatFileContents, args: &Args) {
         );
     }
     let start = std::time::Instant::now();
-    let flat = &contents.flat;
-    let (name, compact_result) = match args.algo.as_str() {
-        "disc-all" => ("DISC-all", DiscAll::default().mine_flat(flat, args.minsup)),
-        "dynamic" => ("Dynamic DISC-all", DynamicDiscAll::default().mine_flat(flat, args.minsup)),
-        "parallel" => {
-            ("DISC-all (parallel)", parallel_miner(args.threads).mine_flat(flat, args.minsup))
-        }
-        other => {
-            eprintln!("flat-file mining supports disc-all, dynamic, parallel; got {other:?}");
-            usage();
-        }
+    let Some(miner) = disc_miner::algo::miner_by_name(&args.algo, args.threads) else {
+        eprintln!("flat-file mining supports disc-all, dynamic, parallel; got {:?}", args.algo);
+        usage();
     };
+    let flat = &contents.flat;
+    let mut compact_result = MiningResult::new();
+    miner
+        .mine_core(
+            flat,
+            args.minsup.resolve(flat.len()),
+            &MineGuard::unlimited(),
+            &mut compact_result,
+            None,
+        )
+        .expect("unlimited guard never aborts");
     // The file stores compact item ids; translate patterns back through the
     // on-disk dictionary.
     let result = contents.mapping.restore_result(&compact_result);
     if args.stats {
         eprintln!(
             "# {}: {} frequent sequences (max length {}) in {:.3?}",
-            name,
+            miner.name(),
             result.len(),
             result.max_length(),
             start.elapsed()
@@ -467,18 +466,11 @@ fn store_main(argv: Vec<String>) -> ! {
     let mut cfg = StoreConfig::default();
     let mut do_compact = false;
     let mut use_mmap = false;
-    let mut mine_args = Args {
-        path: String::new(),
-        minsup: MinSupport::Fraction(0.01),
-        algo: "disc-all".into(),
-        min_length: 1,
-        max_patterns: usize::MAX,
-        stats: false,
-        threads: None,
-        checkpoint_dir: None,
-        resume: None,
-    };
+    let mut mine_args = Args::default();
     while let Some(arg) = args.next() {
+        if mine_args.parse_mining_flag(&arg, &mut args, store_usage) {
+            continue;
+        }
         match arg.as_str() {
             "--dir" => dir = Some(args.next().unwrap_or_else(|| store_usage())),
             "--sync" => {
@@ -498,45 +490,13 @@ fn store_main(argv: Vec<String>) -> ! {
             }
             "--compact" => do_compact = true,
             "--mmap" => use_mmap = true,
-            "--minsup" => {
-                let v: f64 =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-                mine_args.minsup = MinSupport::Fraction(v);
-            }
-            "--delta" => {
-                let v: u64 =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-                mine_args.minsup = MinSupport::Count(v);
-            }
-            "--algo" => mine_args.algo = args.next().unwrap_or_else(|| store_usage()),
-            "--min-length" => {
-                mine_args.min_length =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-            }
-            "--max-patterns" => {
-                mine_args.max_patterns =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-            }
-            "--stats" => mine_args.stats = true,
-            "--threads" => {
-                let v: usize =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-                if v == 0 {
-                    eprintln!("--threads must be at least 1");
-                    store_usage();
-                }
-                mine_args.threads = Some(v);
-            }
             "--help" | "-h" => store_usage(),
             path if !path.starts_with('-') && input.is_none() => input = Some(path.to_string()),
             _ => store_usage(),
         }
     }
     let dir = dir.unwrap_or_else(|| store_usage());
-    if mine_args.threads.is_some() && mine_args.algo != "parallel" {
-        eprintln!("--threads requires --algo parallel");
-        store_usage();
-    }
+    mine_args.check_threads(store_usage);
 
     match sub.as_str() {
         "ingest" => {

@@ -10,6 +10,7 @@
 //! failing snapshot can be uploaded as an artifact); on success each test
 //! removes its directories.
 
+use disc_miner::algo::miner_by_name;
 use disc_miner::core::{read_snapshot, CheckpointCrash, FaultPlan};
 use disc_miner::prelude::*;
 use std::fs;
@@ -94,6 +95,12 @@ fn crash_matrix<M: Checkpointable>(tag: &str, make: impl Fn() -> M) {
     assert_identical(&format!("{tag} clean checkpointed run"), &clean.result, &reference);
     let writes = wrapped.last_stats().writes;
     assert!(writes >= 2, "{tag}: need ≥ 2 snapshot writes for a meaningful matrix, got {writes}");
+    let snap = read_snapshot(&wrapped.checkpoint_path()).unwrap();
+    assert_eq!(
+        (snap.miner, snap.bi_level, snap.threads),
+        make().provenance(),
+        "{tag}: the snapshot header records the miner's provenance"
+    );
     let _ = fs::remove_dir_all(&dir);
 
     for crash in CRASHES {
@@ -137,6 +144,23 @@ fn dynamic_resumes_bit_identical_from_every_crash_point() {
 fn parallel_resumes_bit_identical_from_every_crash_point() {
     for threads in thread_counts() {
         crash_matrix(&format!("parallel-{threads}"), || ParallelDiscAll::with_threads(threads));
+    }
+}
+
+/// The CLI and the server resume through the name table's boxed miners.
+#[test]
+fn dynamic_from_the_name_table_resumes_bit_identical_from_every_crash_point() {
+    let make = || miner_by_name("dynamic", None).expect("a DISC miner");
+    assert_eq!(make().provenance(), DynamicDiscAll::default().provenance());
+    crash_matrix("table-dynamic", make);
+}
+
+#[test]
+fn parallel_from_the_name_table_resumes_bit_identical_from_every_crash_point() {
+    for threads in thread_counts() {
+        let make = || miner_by_name("parallel", Some(threads)).expect("a DISC miner");
+        assert_eq!(make().provenance(), ParallelDiscAll::with_threads(threads).provenance());
+        crash_matrix(&format!("table-parallel-{threads}"), make);
     }
 }
 

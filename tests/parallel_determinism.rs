@@ -118,19 +118,6 @@ fn repeated_runs_are_stable() {
 }
 
 #[test]
-fn mine_parallel_entry_point_is_deterministic() {
-    // The trait-level entry point: DiscAll::mine_parallel routes through the
-    // sharded miner and must honor the identical-result contract.
-    let db = quest(26, 120, 5.0);
-    let threshold = MinSupport::Fraction(0.15);
-    let reference = DiscAll::default().mine(&db, threshold);
-    for threads in thread_counts() {
-        let got = DiscAll::default().mine_parallel(&db, threshold, threads);
-        assert_identical(&format!("mine_parallel ×{threads}"), &got, &reference);
-    }
-}
-
-#[test]
 fn cancelled_parallel_run_returns_a_sound_subset() {
     let db = quest(27, 2000, 12.0);
     let delta = MinSupport::Fraction(0.02).resolve(db.len());
